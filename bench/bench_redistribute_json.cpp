@@ -5,7 +5,7 @@
 // broadcast-shaped slab allgather, plus the two workload-suite shapes of
 // src/workloads (the slab -> y-pencil FFT transpose and a tiny-message
 // SPMD resharding over 8 ranks, both carrying closed-form analytic byte
-// accounting the bench gates against) — under nine configurations:
+// accounting the bench gates against) — under six configurations:
 //
 //   legacy_alltoallw       recursive-walker pack path (plans disabled)
 //   compiled_alltoallw     compiled segment plans, alltoallw backend
@@ -13,13 +13,8 @@
 //   compiled_p2p_fused     compiled plans, per-peer fused p2p backend
 //   compiled_p2p_pipelined compiled plans, all-round receive window with
 //                          out-of-order wait_any completion
-//   fused_scalar_kernel    fused backend with the copy-train kernel forced
-//                          to scalar (the SIMD-vs-scalar ablation; every
-//                          other config uses the autodetected kernel)
-//   fused_parpack2         fused backend, 2 PackExecutor workers per rank
-//   pipelined_parpack2     pipelined backend, 2 PackExecutor workers
-//   automatic              ddr::Planner picks the backend and thread count
-//                          at setup() (Backend::automatic); the bench exits
+//   automatic              ddr::Planner picks the backend at setup()
+//                          (Backend::automatic); the bench exits
 //                          non-zero unless its median lands within 5% (plus
 //                          a 0.010 ms noise floor) of the best hand-picked
 //                          config on EVERY case — the planner's exit gate
@@ -245,20 +240,12 @@ bool case_enabled(const std::string& name) {
   return false;
 }
 
-/// `kernel` forces a copy-train kernel for the duration of the config
-/// (nullptr keeps the current dispatch); `pack_threads` > 0 turns on the
-/// per-rank PackExecutor for the fused/pipelined backends.
 ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
                         bool plan_enabled, ddr::Backend backend, int reps,
-                        CaseResult& out_case, const char* kernel = nullptr,
-                        int pack_threads = 0) {
+                        CaseResult& out_case) {
   ConfigResult res;
   res.name = cfg_name;
   mpi::Datatype::set_plan_enabled(plan_enabled);
-  if (kernel != nullptr && !mpi::set_pack_kernel(kernel)) {
-    std::fprintf(stderr, "kernel %s unavailable on this host\n", kernel);
-    std::exit(2);
-  }
 
   std::vector<double> times_ms;
   std::uint64_t msgs_delta = 0;
@@ -271,7 +258,6 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
 
   mpi::run(cs.nranks, [&](mpi::Comm& comm) {
     const int r = comm.rank();
-    if (pack_threads > 0) comm.set_pack_threads(pack_threads);
     ddr::Redistributor rd(comm, sizeof(float));
     ddr::SetupOptions opts;
     opts.backend = backend;
@@ -362,7 +348,6 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
               cs.name.c_str(), cfg_name.c_str(), res.median_ms, res.p95_ms,
               res.messages_per_call,
               static_cast<unsigned long long>(res.staging_heap_allocs_steady));
-  if (kernel != nullptr) mpi::set_pack_kernel("auto");
   return res;
 }
 
@@ -1201,15 +1186,6 @@ int main() {
     cr.configs.push_back(run_config(cs, "compiled_p2p_pipelined", true,
                                     ddr::Backend::point_to_point_pipelined,
                                     reps, cr));
-    cr.configs.push_back(run_config(cs, "fused_scalar_kernel", true,
-                                    ddr::Backend::point_to_point_fused, reps,
-                                    cr, "scalar"));
-    cr.configs.push_back(run_config(cs, "fused_parpack2", true,
-                                    ddr::Backend::point_to_point_fused, reps,
-                                    cr, nullptr, 2));
-    cr.configs.push_back(run_config(cs, "pipelined_parpack2", true,
-                                    ddr::Backend::point_to_point_pipelined,
-                                    reps, cr, nullptr, 2));
     cr.configs.push_back(run_config(cs, "automatic", true,
                                     ddr::Backend::automatic, reps, cr));
     for (const ConfigResult& cf : cr.configs)

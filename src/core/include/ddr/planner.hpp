@@ -5,16 +5,16 @@
 ///
 /// The bench snapshot shows no single backend dominates: fused p2p wins
 /// strided multi-round exchanges, plain p2p wins small low-round ones, and
-/// parallel packing loses outright below a message-size threshold.
+/// the pipelined receive window only pays off once lanes are large.
 /// ddr::Planner replaces the manual Backend choice: at setup() time it
 /// consumes the redistribution's compiled-plan statistics — transfer counts,
 /// per-lane bytes, round structure, the self/intra-node/inter-node split
 /// under the installed mpi::NetworkModel, and (when available) the local
 /// mapping's plan_quad_count/plan_segment_count — and emits a PlanDecision:
-/// the backend to run, the parallel-packing thread count, the staging
-/// prewarm size, and the wave schedule of the collective-sequence lowering
-/// under a caller-settable peak-staging budget (the memory-efficient
-/// redistribution axis of Rink et al., arXiv:2112.01075).
+/// the backend to run, the staging prewarm size, and the wave schedule of
+/// the collective-sequence lowering under a caller-settable peak-staging
+/// budget (the memory-efficient redistribution axis of Rink et al.,
+/// arXiv:2112.01075).
 ///
 /// Everything the decision depends on is GLOBAL knowledge (the allgathered
 /// layout and the run-wide NetworkModel), so every rank derives the
@@ -92,13 +92,6 @@ enum class Backend {
 /// over (self lanes copy in place, intra-node lanes publish a pointer,
 /// inter-node lanes pack and pay the link).
 enum class LaneClass { self, intra, inter };
-
-/// Lanes below this many bytes are packed inline on the rank thread even
-/// when a PackExecutor is configured — the thread-handoff overhead costs
-/// more than the pack itself. The SAME constant gates the planner's
-/// parallel-packing decision, so the planner never requests threads the
-/// executor would decline to use.
-inline constexpr std::int64_t kParallelPackThresholdBytes = 32 * 1024;
 
 /// Collective shape detected on the src->dst sharding pair (drives the
 /// explain output and documents which classic collective the wave sequence
@@ -188,9 +181,9 @@ struct ClassPlan {
 /// The planner's verdict, identical on every rank of the communicator.
 struct PlanDecision {
   Backend backend = Backend::point_to_point;
-  /// PackExecutor threads redistribute() should use (0 = inline packing).
-  /// Nonzero only when the chosen backend parallel-packs and some lane
-  /// clears kParallelPackThresholdBytes.
+  /// Always 0: packing is serial on the rank thread. Kept only so existing
+  /// readers of the field (the perfbench pencil_fft and rebalance workloads)
+  /// still compile and report it.
   int pack_threads = 0;
   /// Staging bytes setup() prewarms for the chosen backend (the predicted
   /// peak concurrent payload set).
@@ -226,8 +219,8 @@ struct PlanDecision {
 class Planner {
  public:
   /// Derives the plan for `layout`. Deterministic and rank-independent in
-  /// everything that must be protocol-consistent (the backend, the wave
-  /// schedule, the thread count); `local_mapping`, when given, only refines
+  /// everything that must be protocol-consistent (the backend and the wave
+  /// schedule); `local_mapping`, when given, only refines
   /// this rank's predicted_s with its compiled-plan quad/segment counts and
   /// sizes the staging prewarm to this rank's lanes.
   ///

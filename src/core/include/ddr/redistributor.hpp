@@ -378,13 +378,6 @@ class Redistributor {
   /// meaningful when options_.plan_cache != nullptr; redistribute() rejects
   /// execution once the cache has been invalidated past it).
   std::uint64_t plan_cache_epoch_ = 0;
-  /// Whether parallel packing can pay off on this mapping: true only when
-  /// some inter-node lane clears kParallelPackThresholdBytes. When false,
-  /// the fused/pipelined executors pack inline even if the application
-  /// configured PackExecutor threads — the thread handoff costs more than
-  /// the pack below the threshold (the fused_parpack2 small-message
-  /// regression in BENCH_redistribute.json).
-  bool parpack_effective_ = false;
   /// Epoch counter for the reliable p2p protocol: every redistribute() call
   /// gets its own tag window so duplicated or re-sent messages from one call
   /// can never be mistaken for another call's traffic.
@@ -428,10 +421,6 @@ class Redistributor {
   void publish_intra(std::span<const std::byte> owned_data, int epoch) const;
   void complete_intra_recvs(std::span<std::byte> needed_data, int epoch) const;
   void wait_intra_acks(int epoch) const;
-
-  /// Parallel-pack scratch (payload per fused send lane), reused across
-  /// calls like reqs_.
-  mutable std::vector<std::vector<std::byte>> payloads_;
 
   /// Optional per-Redistributor trace sink (see trace_sink()). Not owned.
   trace::Recorder* trace_ = nullptr;

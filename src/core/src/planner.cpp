@@ -36,12 +36,12 @@ constexpr double kQuadWalkS = 5.0e-9;
 /// Fraction of the smaller of pack/unpack byte cost the pipelined backend
 /// hides behind the receive window.
 constexpr double kPipelineOverlap = 0.5;
+/// The pipelined backend earns that overlap credit only when some lane
+/// carries at least this many bytes: below it the per-lane spans dominate
+/// and the receive window hides nothing.
+constexpr std::int64_t kPipelineOverlapMinLaneBytes = 32 * 1024;
 /// Zero-copy intra-node lanes still pay one copy_regions pass.
 constexpr double kIntraByteCostS = 2.0e-10;
-/// Parallel packing pays a per-job thread handoff; it only wins once a rank
-/// packs this many inter-node bytes per call (measured: below this the
-/// executor's wake/drain latency exceeds the pack time it saves).
-constexpr std::int64_t kParallelPackMinTotalBytes = std::int64_t{4} << 20;
 
 /// Per-(sender, receiver) aggregation of the exchange, plus per-rank and
 /// per-round totals — everything the candidate costs are computed from.
@@ -61,7 +61,6 @@ struct Aggregates {
   std::vector<std::int64_t> pieces_out, pieces_in;
   std::vector<std::int64_t> lanes_out, lanes_in;
   std::vector<std::int64_t> bytes_out, bytes_in;
-  std::vector<std::int64_t> inter_bytes_out, inter_bytes_in;
   std::vector<std::int64_t> intra_lanes_out, intra_lanes_in;
   std::vector<std::int64_t> self_bytes_rank;
 };
@@ -87,8 +86,6 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
   a.lanes_in.assign(p, 0);
   a.bytes_out.assign(p, 0);
   a.bytes_in.assign(p, 0);
-  a.inter_bytes_out.assign(p, 0);
-  a.inter_bytes_in.assign(p, 0);
   a.intra_lanes_out.assign(p, 0);
   a.intra_lanes_in.assign(p, 0);
   a.self_bytes_rank.assign(p, 0);
@@ -134,8 +131,6 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
       ++a.intra_lanes_in[ri];
     } else {
       a.inter_bytes += bytes;
-      a.inter_bytes_out[si] += bytes;
-      a.inter_bytes_in[ri] += bytes;
     }
   }
   return a;
@@ -410,13 +405,13 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
 
   // pipelined: fused minus the pack/unpack overlap the receive window hides.
   // Small lanes see no benefit — the per-lane spans dominate — so the credit
-  // is gated on the shared parallel-pack byte threshold. It is also gated on
+  // is gated on a minimum lane size. It is also gated on
   // fusion actually collapsing messages (pieces > lanes): in a single-round
   // exchange the fused lane set IS the plain message set, the stitched types
   // buy nothing, and measured medians put plain p2p ahead (bcast3d).
   {
     std::vector<double> cost = fused;
-    if (a.max_lane_bytes >= kParallelPackThresholdBytes &&
+    if (a.max_lane_bytes >= kPipelineOverlapMinLaneBytes &&
         a.pieces > static_cast<std::int64_t>(a.lanes.size()))
       for (std::size_t r = 0; r < p; ++r)
         if (a.lanes_in[r] >= 2)
@@ -529,20 +524,8 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   d.predicted_peak_staging = best->predicted_peak_staging;
   d.staging_prewarm_bytes = best->predicted_peak_staging;
 
-  // Parallel packing: only for the packing backends, only when single lanes
-  // clear the inline threshold AND a rank packs enough total bytes to
-  // amortize the executor handoff.
-  if ((d.backend == Backend::point_to_point_fused ||
-       d.backend == Backend::point_to_point_pipelined) &&
-      a.max_lane_bytes >= kParallelPackThresholdBytes) {
-    std::int64_t max_rank_inter = 0;
-    for (std::size_t r = 0; r < p; ++r)
-      max_rank_inter = std::max(max_rank_inter, a.inter_bytes_out[r]);
-    if (max_rank_inter >= kParallelPackMinTotalBytes) d.pack_threads = 2;
-  }
-
   // Local refinement: this rank's compiled fused-lane plans tell us the
-  // actual quad/segment walk the pack kernels execute. Consumed for the
+  // actual quad/segment walk pack and unpack execute. Consumed for the
   // reported prediction and the prewarm size only — never for the backend
   // choice, which must be identical on every rank.
   if (local_mapping != nullptr) {

@@ -381,8 +381,6 @@ void Redistributor::finish_setup() {
     resolved_backend_ = options_.backend == Backend::automatic
                             ? plan_.backend
                             : options_.backend;
-    if (options_.backend == Backend::automatic)
-      comm_.set_pack_threads(plan_.pack_threads);
     DDR_TRACE_INSTANT(
         "ddr.plan.decision",
         {.bytes = static_cast<std::int64_t>(plan_.predicted_peak_staging),
@@ -397,7 +395,6 @@ void Redistributor::finish_setup() {
   // against the budget — unscheduled lanes keep wave -1). Derived from the
   // allgathered layout, so the wave a lane carries matches on its sender
   // and receiver.
-  parpack_effective_ = false;
   coll_send_wave_.assign(mapping_.fused_send.size(), -1);
   coll_recv_wave_.assign(mapping_.fused_recv.size(), -1);
   coll_nwaves_ = 1;
@@ -423,19 +420,6 @@ void Redistributor::finish_setup() {
             coll_recv_wave_[i] = l.wave;
     }
   }
-  // Whether parallel packing can pay off on this mapping: only when some
-  // inter-node lane clears the inline threshold. Below it the executor
-  // handoff costs more than the pack it offloads (the fused_parpack2
-  // small-message regression), so the fused/pipelined executors stay fully
-  // serial even if the application configured PackExecutor threads.
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-    if (fused_send_class_[i] == LaneClass::inter &&
-        mapping_.fused_send[i].bytes >= kParallelPackThresholdBytes)
-      parpack_effective_ = true;
-  for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i)
-    if (fused_recv_class_[i] == LaneClass::inter &&
-        mapping_.fused_recv[i].bytes >= kParallelPackThresholdBytes)
-      parpack_effective_ = true;
 
   // 7. Tag-space budget for the p2p backends (see the tag layout comment
   // above): identical on every rank because the round count derives from the
@@ -1012,79 +996,31 @@ void Redistributor::execute_p2p_fused(std::span<const std::byte> owned_data,
   // stitched into a single struct type at setup time
   // (DataMapping::fused_send/fused_recv). Intra-node lanes move zero-copy
   // through shared memory (publish_intra/complete_intra_recvs); the self
-  // lane moves via copy_regions. With pack_threads() > 0 the inter lanes are
-  // packed/unpacked concurrently on the PackExecutor, with clock charging
-  // and mailbox traffic kept on this rank thread.
+  // lane moves via copy_regions.
   const int nrounds = static_cast<int>(mapping_.rounds.size());
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
   const int tag = p2p_fused_tag(nrounds, epoch);
-  // Parallel packing is gated on the mapping actually profiting from it:
-  // when no inter lane clears kParallelPackThresholdBytes, the executor
-  // handoff costs more than the packs it offloads, so the serial path runs
-  // even with PackExecutor threads configured.
-  const bool parallel = comm_.pack_threads() > 0 && parpack_effective_;
   reqs_.clear();
   {
     DDR_TRACE_SPAN(fspan, "ddr.exchange.fused");
-    // Serial path: register interest in every inter lane up front. (The
-    // parallel path instead receives raw payloads below and unpacks them on
-    // the executor.) Fused lanes span every round: message instants carry
-    // round=-1.
-    if (!parallel)
-      for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-        if (fused_recv_class_[i] != LaneClass::inter) continue;
-        const PeerLane& l = mapping_.fused_recv[i];
-        DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-        reqs_.push_back(comm_.irecv(needed_data.data() + l.displ, 1, l.type,
-                                    l.peer, tag));
-      }
+    // Register interest in every inter lane up front. Fused lanes span every
+    // round: message instants carry round=-1.
+    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
+      if (fused_recv_class_[i] != LaneClass::inter) continue;
+      const PeerLane& l = mapping_.fused_recv[i];
+      DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
+      reqs_.push_back(comm_.irecv(needed_data.data() + l.displ, 1, l.type,
+                                  l.peer, tag));
+    }
     // Publish owned-buffer pointers to intra peers before anything blocks,
     // so no receiver can wait on a pointer its sender has not yet sent.
     publish_intra(owned_data, epoch);
-    if (parallel) {
-      // Pack the big inter lanes concurrently into staging, then post from
-      // this thread (posting charges the clock and runs fault fates, which
-      // must stay serialized on the rank thread). Lanes below the inline
-      // threshold are packed right here on the rank thread first — the
-      // executor handoff costs more than such a pack.
-      payloads_.resize(mapping_.fused_send.size());
-      for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-        if (fused_send_class_[i] != LaneClass::inter ||
-            mapping_.fused_send[i].bytes >= kParallelPackThresholdBytes)
-          continue;
-        const PeerLane& l = mapping_.fused_send[i];
-        payloads_[i] =
-            comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-      }
-      const std::vector<std::size_t> lanes = comm_.parallel_for_lanes(
-          mapping_.fused_send.size(), [&](std::size_t i) {
-            if (fused_send_class_[i] != LaneClass::inter ||
-                mapping_.fused_send[i].bytes < kParallelPackThresholdBytes)
-              return;
-            const PeerLane& l = mapping_.fused_send[i];
-            payloads_[i] =
-                comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-          });
-      for (std::size_t w = 0; w < lanes.size(); ++w) {
-        DDR_TRACE_SPAN(pspan, "ddr.pack.parallel",
-                       trace::Keys{.peer = static_cast<int>(w),
-                                   .value = static_cast<std::int64_t>(
-                                       lanes[w])});
-      }
-      for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-        if (fused_send_class_[i] != LaneClass::inter) continue;
-        const PeerLane& l = mapping_.fused_send[i];
-        DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-        comm_.isend_packed(std::move(payloads_[i]), l.peer, tag);
-      }
-    } else {
-      for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-        if (fused_send_class_[i] != LaneClass::inter) continue;
-        const PeerLane& l = mapping_.fused_send[i];
-        DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-        reqs_.push_back(
-            comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag));
-      }
+    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
+      if (fused_send_class_[i] != LaneClass::inter) continue;
+      const PeerLane& l = mapping_.fused_send[i];
+      DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
+      reqs_.push_back(
+          comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag));
     }
     // Self lane: the fused send and recv types cover the same bytes in the
     // same (round, needed-index) order, so they map onto each other directly.
@@ -1098,58 +1034,6 @@ void Redistributor::execute_p2p_fused(std::span<const std::byte> owned_data,
     // Intra lanes: copy straight out of each same-node sender's owned
     // buffer, then ack so the sender may return.
     complete_intra_recvs(needed_data, epoch);
-    if (parallel) {
-      // Receive the raw inter payloads (clock charged per message, on this
-      // thread), then unpack them concurrently and return the buffers to the
-      // pool. Everyone posted their sends before blocking here, so draining
-      // in peer order cannot deadlock.
-      payloads_.resize(mapping_.fused_recv.size());
-      try {
-        for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-          if (fused_recv_class_[i] != LaneClass::inter) continue;
-          const PeerLane& l = mapping_.fused_recv[i];
-          payloads_[i] = comm_.recv_payload(l.peer, tag);
-          DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-          require(
-              payloads_[i].size() == l.type.size(),
-              "redistribute: fused lane from rank " + std::to_string(l.peer) +
-                  " delivered " + std::to_string(payloads_[i].size()) +
-                  " bytes, expected " + std::to_string(l.type.size()));
-          // Small lanes unpack inline right here — the executor handoff
-          // costs more than such an unpack — and their buffers go back to
-          // the pool immediately.
-          if (l.bytes < kParallelPackThresholdBytes) {
-            l.type.unpack(payloads_[i].data(), 1,
-                          needed_data.data() + l.displ);
-            comm_.release_staging(std::move(payloads_[i]));
-            payloads_[i].clear();
-          }
-        }
-      } catch (...) {
-        // The exchange aborts, but buffers already received must still go
-        // back to the pool instead of stranding in payloads_.
-        for (std::vector<std::byte>& p : payloads_)
-          if (!p.empty()) comm_.release_staging(std::move(p));
-        throw;
-      }
-      const std::vector<std::size_t> lanes = comm_.parallel_for_lanes(
-          mapping_.fused_recv.size(), [&](std::size_t i) {
-            if (fused_recv_class_[i] != LaneClass::inter ||
-                payloads_[i].empty())
-              return;
-            const PeerLane& l = mapping_.fused_recv[i];
-            l.type.unpack(payloads_[i].data(), 1,
-                          needed_data.data() + l.displ);
-          });
-      for (std::size_t w = 0; w < lanes.size(); ++w) {
-        DDR_TRACE_SPAN(uspan, "ddr.pack.parallel",
-                       trace::Keys{.peer = static_cast<int>(w),
-                                   .value = static_cast<std::int64_t>(
-                                       lanes[w])});
-      }
-      for (std::vector<std::byte>& p : payloads_)
-        if (!p.empty()) comm_.release_staging(std::move(p));
-    }
   }
   {
     DDR_TRACE_SPAN(wspan, "ddr.wait_all");
@@ -1174,9 +1058,6 @@ void Redistributor::execute_p2p_pipelined(
   const int nrounds = static_cast<int>(mapping_.rounds.size());
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
   const int tag = p2p_fused_tag(nrounds, epoch);
-  // Same gate as the fused executor: parallel packing only when some inter
-  // lane clears the inline threshold (see parpack_effective_).
-  const bool parallel = comm_.pack_threads() > 0 && parpack_effective_;
   reqs_.clear();
   recv_meta_.clear();
 
@@ -1224,37 +1105,7 @@ void Redistributor::execute_p2p_pipelined(
   // first receives land while later lanes are still packing. Each pack span
   // covers one peer's pack + post; between lanes, whatever landed meanwhile
   // is drained and unpacked — overlap, not a barrier: nothing here waits.
-  // With pack_threads() > 0 the lanes are packed concurrently up front on
-  // the PackExecutor; the shifted schedule then just posts the prepacked
-  // payloads (posting charges the clock, which stays on this thread).
   const std::vector<PeerLane>& lanes = mapping_.fused_send;
-  if (parallel) {
-    payloads_.resize(lanes.size());
-    // Lanes below the inline threshold pack on the rank thread; only the
-    // big ones are worth the executor handoff (see parpack_effective_).
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (fused_send_class_[i] != LaneClass::inter ||
-          lanes[i].bytes >= kParallelPackThresholdBytes)
-        continue;
-      payloads_[i] = comm_.pack_to_staging(owned_data.data() + lanes[i].displ,
-                                           1, lanes[i].type);
-    }
-    const std::vector<std::size_t> counts = comm_.parallel_for_lanes(
-        lanes.size(), [&](std::size_t i) {
-          if (fused_send_class_[i] != LaneClass::inter ||
-              lanes[i].bytes < kParallelPackThresholdBytes)
-            return;
-          const PeerLane& l = lanes[i];
-          payloads_[i] =
-              comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-        });
-    for (std::size_t w = 0; w < counts.size(); ++w) {
-      DDR_TRACE_SPAN(pkspan, "ddr.pack.parallel",
-                     trace::Keys{.peer = static_cast<int>(w),
-                                 .value = static_cast<std::int64_t>(
-                                     counts[w])});
-    }
-  }
   std::size_t first = 0;
   while (first < lanes.size() && lanes[first].peer <= mapping_.rank) ++first;
   for (std::size_t n = 0; n < lanes.size(); ++n) {
@@ -1266,10 +1117,7 @@ void Redistributor::execute_p2p_pipelined(
       DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
       // Sends are buffered-eager: the request is born complete, so only the
       // receive window in reqs_ ever needs waiting on.
-      if (parallel)
-        comm_.isend_packed(std::move(payloads_[idx]), l.peer, tag);
-      else
-        comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
+      comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
     }
     drain_ready();
   }

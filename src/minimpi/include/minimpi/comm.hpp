@@ -261,55 +261,9 @@ class Comm {
 
   [[nodiscard]] Comm dup() const;
 
-  // --- parallel lane packing ----------------------------------------------
-  // Opt-in helpers for libraries that pack/unpack many independent lanes
-  // (DDR's fused and pipelined backends). Packing is pure memory work, so it
-  // can fan out to a per-rank PackExecutor thread pool; everything that
-  // touches the simulation (virtual-clock charging, fault fates, mailbox
-  // posts) stays on the rank thread via isend_packed/recv_payload.
-
-  /// Sets the PackExecutor size used by parallel_for_lanes: `n` pool threads
-  /// work alongside the calling rank thread. 0 (the default) runs lanes
-  /// serially on the rank thread with no pool at all. Communicator-wide
-  /// config; call it before any setup that prewarms staging so per-lane
-  /// buffers are planted for the parallel path.
-  void set_pack_threads(int n) const;
-  [[nodiscard]] int pack_threads() const;
-
-  /// Runs fn(i) for every lane i in [0, n), on this rank's PackExecutor
-  /// (caller participates; serial when pack_threads() == 0). Returns lanes
-  /// processed per slot (slot 0 = the calling thread, slot w+1 = pool worker
-  /// w) so callers can emit per-worker trace events. `fn` must be safe to
-  /// run concurrently for distinct lanes and must not touch this Comm except
-  /// through the thread-safe helpers below.
-  std::vector<std::size_t> parallel_for_lanes(
-      std::size_t n, const std::function<void(std::size_t)>& fn) const;
-
-  /// Packs `count` elements of `type` from `buf` into a staging buffer from
-  /// the communicator pool. Thread-safe (PackExecutor workers call it); pair
-  /// with isend_packed on the rank thread or release_staging.
-  [[nodiscard]] std::vector<std::byte> pack_to_staging(
-      const void* buf, std::size_t count, const Datatype& type) const;
-
-  /// Sends an already-packed payload (from pack_to_staging) to `dest`. This
-  /// charges the sender clock and runs fault fates, so it must be called
-  /// from the owning rank thread, never from a PackExecutor worker.
-  Request isend_packed(std::vector<std::byte> payload, int dest,
-                       int tag) const;
-
-  /// Blocking receive of one matching message's raw packed payload (no
-  /// unpack). Lets callers defer unpacking — e.g. to PackExecutor workers —
-  /// and release the buffer back to the pool afterwards. Must be called from
-  /// the owning rank thread.
-  [[nodiscard]] std::vector<std::byte> recv_payload(int source, int tag) const;
-
-  /// Returns a staging buffer (from pack_to_staging/recv_payload) to the
-  /// communicator pool. Thread-safe.
-  void release_staging(std::vector<std::byte>&& buf) const;
-
   /// Collective. Executes a whole packed exchange as a sequence of fenced
-  /// waves built from the existing primitives (pack_to_staging, isend_packed,
-  /// recv_payload, barrier) — the memory-efficient lowering DDR's
+  /// waves — each lane packed into a staging buffer, sent eagerly, received
+  /// and unpacked, then a barrier — the memory-efficient lowering DDR's
   /// Backend::collective uses. Lanes carry a `wave` index in [0, nwaves);
   /// wave w packs and posts every send lane of that wave, then drains and
   /// unpacks every receive lane of that wave, then fences the communicator

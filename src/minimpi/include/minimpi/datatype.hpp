@@ -37,7 +37,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "minimpi/error.hpp"
@@ -95,14 +94,14 @@ class Datatype {
   /// (compiles the plan if needed). Adjacent runs are coalesced, so this is
   /// the exact number of contiguous byte runs a pack of one element copies.
   /// Equal to the sum of the repeat counts over the plan's quads. Unit:
-  /// RUNS COPIED — not kernel calls; the dispatched copy-train kernel
-  /// (pack_kernel_name()) moves all of a quad's runs in one call.
+  /// RUNS COPIED — not copy calls; the copy train moves all
+  /// of a quad's runs in one call.
   [[nodiscard]] std::size_t plan_segment_count() const;
 
   /// Number of run-compressed (offset, length, stride, count) descriptors
   /// the compiled plan of ONE element stores (compiles the plan if needed).
   /// Unit: QUADS STORED — this, not plan_segment_count(), is both the plan's
-  /// memory footprint and the number of copy-train kernel calls a pack of
+  /// memory footprint and the number of copy-train calls a pack of
   /// one element makes: strided subarrays collapse whole dimensions into
   /// single quads, so plan_quad_count() <= plan_segment_count() always
   /// holds.
@@ -180,21 +179,6 @@ class Datatype {
   explicit Datatype(std::shared_ptr<const detail::TypeNode> node);
   std::shared_ptr<const detail::TypeNode> node_;
 };
-
-/// Name of the strided-copy kernel pack/unpack/copy_regions currently
-/// execute through: "scalar", "sse2", or "avx2". Selected once per process —
-/// the MINIMPI_PACK_KERNEL env var ("scalar"/"sse2"/"avx2"/"auto") wins if it
-/// names a variant this CPU supports, otherwise the widest supported variant
-/// is auto-detected. See DESIGN.md §11.
-[[nodiscard]] std::string pack_kernel_name();
-
-/// Forces the strided-copy kernel for this process ("scalar", "sse2",
-/// "avx2"), or re-runs the env-then-autodetect selection ("auto"). Returns
-/// false — leaving the current kernel in place — when `name` is unknown or
-/// the CPU lacks the variant. Testing/benchmarking hook; not thread-safe
-/// against concurrent pack/unpack (all variants are byte-identical, so a
-/// race is still correct, merely unserialized).
-bool set_pack_kernel(std::string_view name);
 
 /// Moves `src_count` elements of `src_type` at `src` directly into
 /// `dst_count` elements of `dst_type` at `dst` — the packed byte streams of

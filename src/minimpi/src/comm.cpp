@@ -105,8 +105,7 @@ CommImpl::CommImpl(std::shared_ptr<World> w, std::vector<int> group_world_ranks)
       split_seq(group.size(), 0),
       shrink_seq(group.size(), 0),
       resize_seq(group.size(), 0),
-      agree_seq(group.size(), 0),
-      pack_exec(group.size()) {
+      agree_seq(group.size(), 0) {
   user_box.reserve(group.size());
   coll_box.reserve(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
@@ -1496,81 +1495,6 @@ void Comm::reserve_staging(const std::vector<std::size_t>& sizes) const {
     if (n > 0) impl_->staging.deposit(std::vector<std::byte>(n));
 }
 
-void Comm::set_pack_threads(int n) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "set_pack_threads: invalid communicator");
-  require(n >= 0, ErrorClass::invalid_argument,
-          "set_pack_threads: thread count must be >= 0");
-  impl_->pack_threads.store(n, std::memory_order_relaxed);
-}
-
-int Comm::pack_threads() const {
-  require(valid(), ErrorClass::invalid_comm,
-          "pack_threads: invalid communicator");
-  return impl_->pack_threads.load(std::memory_order_relaxed);
-}
-
-std::vector<std::size_t> Comm::parallel_for_lanes(
-    std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "parallel_for_lanes: invalid communicator");
-  const int want = impl_->pack_threads.load(std::memory_order_relaxed);
-  if (want <= 0) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return std::vector<std::size_t>(1, n);
-  }
-  std::unique_ptr<detail::PackExecutor>& slot =
-      impl_->pack_exec[static_cast<std::size_t>(rank_)];
-  if (slot == nullptr || slot->workers() != want)
-    slot = std::make_unique<detail::PackExecutor>(want);
-  return slot->parallel_for(n, fn);
-}
-
-std::vector<std::byte> Comm::pack_to_staging(const void* buf,
-                                             std::size_t count,
-                                             const Datatype& type) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "pack_to_staging: invalid communicator");
-  return pack_elements(*impl_, buf, count, type);
-}
-
-Request Comm::isend_packed(std::vector<std::byte> payload, int dest,
-                           int tag) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "isend_packed: invalid communicator");
-  check_rank(*impl_, dest, "isend_packed");
-  require(tag >= 0 && tag < tag_upper_bound, ErrorClass::invalid_tag,
-          "isend_packed: tag must be in [0, tag_upper_bound)");
-  const std::size_t bytes = payload.size();
-  send_packed(*impl_, rank_, std::move(payload), dest, tag,
-              /*collective=*/false);
-  Request r;
-  r.kind_ = Request::Kind::done_send;
-  r.done_status_ = Status{rank_, tag, bytes};
-  return r;
-}
-
-std::vector<std::byte> Comm::recv_payload(int source, int tag) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "recv_payload: invalid communicator");
-  if (source != any_source) check_rank(*impl_, source, "recv_payload");
-  require((tag >= 0 && tag < tag_upper_bound) || tag == any_tag,
-          ErrorClass::invalid_tag,
-          "recv_payload: tag must be in [0, tag_upper_bound) or any_tag");
-  Mailbox& box = *impl_->user_box[static_cast<std::size_t>(rank_)];
-  const int my_world = impl_->group[static_cast<std::size_t>(rank_)];
-  fault_checkpoint(*impl_->world, my_world);
-  Message msg = take(box, *impl_->world, my_world, source, tag);
-  charge_recv(*impl_, rank_, msg);
-  return std::move(msg.payload);
-}
-
-void Comm::release_staging(std::vector<std::byte>&& buf) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "release_staging: invalid communicator");
-  impl_->staging.release(std::move(buf));
-}
-
 const NetworkModel* Comm::network_model() const {
   require(valid(), ErrorClass::invalid_comm,
           "network_model: invalid communicator");
@@ -1584,6 +1508,10 @@ void Comm::sequenced_exchange(std::span<const PackedSendLane> sends,
           "sequenced_exchange: invalid communicator");
   require(nwaves >= 1, ErrorClass::invalid_argument,
           "sequenced_exchange: need at least one wave");
+  require(tag >= 0 && tag < tag_upper_bound, ErrorClass::invalid_tag,
+          "sequenced_exchange: tag must be in [0, tag_upper_bound)");
+  Mailbox& box = *impl_->user_box[static_cast<std::size_t>(rank_)];
+  const int my_world = impl_->group[static_cast<std::size_t>(rank_)];
   for (int w = 0; w < nwaves; ++w) {
     DDR_TRACE_SPAN(wspan, "mpi.seq.wave", trace::Keys{.round = w});
     // Post every send of this wave first (buffered-eager, never blocks),
@@ -1594,22 +1522,27 @@ void Comm::sequenced_exchange(std::span<const PackedSendLane> sends,
     // before the next wave packs a byte.
     for (const PackedSendLane& l : sends) {
       if (l.wave != w) continue;
-      isend_packed(pack_to_staging(l.base, 1, *l.type), l.peer, tag);
+      check_rank(*impl_, l.peer, "sequenced_exchange");
+      send_packed(*impl_, rank_, pack_elements(*impl_, l.base, 1, *l.type),
+                  l.peer, tag, /*collective=*/false);
     }
     for (const PackedRecvLane& l : recvs) {
       if (l.wave != w) continue;
-      std::vector<std::byte> payload = recv_payload(l.peer, tag);
-      if (payload.size() != l.bytes) {
-        const std::size_t got = payload.size();
-        release_staging(std::move(payload));
+      check_rank(*impl_, l.peer, "sequenced_exchange");
+      fault_checkpoint(*impl_->world, my_world);
+      Message msg = take(box, *impl_->world, my_world, l.peer, tag);
+      charge_recv(*impl_, rank_, msg);
+      if (msg.payload.size() != l.bytes) {
+        const std::size_t got = msg.payload.size();
+        impl_->staging.release(std::move(msg.payload));
         require(false, ErrorClass::truncate,
                 "sequenced_exchange: lane from rank " +
                     std::to_string(l.peer) + " delivered " +
                     std::to_string(got) + " bytes, expected " +
                     std::to_string(l.bytes));
       }
-      l.type->unpack(payload.data(), 1, static_cast<std::byte*>(l.base));
-      release_staging(std::move(payload));
+      l.type->unpack(msg.payload.data(), 1, static_cast<std::byte*>(l.base));
+      impl_->staging.release(std::move(msg.payload));
     }
     barrier();
   }

@@ -1,7 +1,5 @@
 #include "minimpi/datatype.hpp"
 
-#include "pack_kernels.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -335,6 +333,45 @@ const std::vector<Quad>& TypeNode::compiled() const {
 
 }  // namespace detail
 
+// The one strided-copy primitive behind pack, unpack and copy_regions: copy
+// a *train* of `count` runs of `length` bytes, run k moving
+// src + k*sstride -> dst + k*dstride. Packing is a train with
+// dstride == length (gather into a dense stream), unpacking one with
+// sstride == length (scatter out of one); runs must not overlap. Fixed-size
+// cases compile to single load/store pairs (the dominant quad shapes: one
+// float/double/pixel per run, or one small brick row); the generic case is
+// the classic memcpy loop.
+
+template <std::size_t N>
+static void fixed_train(std::byte* dst, std::ptrdiff_t dstride,
+                        const std::byte* src, std::ptrdiff_t sstride,
+                        std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) {
+    std::memcpy(dst, src, N);
+    dst += dstride;
+    src += sstride;
+  }
+}
+
+static void copy_train(std::byte* dst, std::ptrdiff_t dstride,
+                       const std::byte* src, std::ptrdiff_t sstride,
+                       std::size_t length, std::size_t count) {
+  switch (length) {
+    case 1: return fixed_train<1>(dst, dstride, src, sstride, count);
+    case 2: return fixed_train<2>(dst, dstride, src, sstride, count);
+    case 4: return fixed_train<4>(dst, dstride, src, sstride, count);
+    case 8: return fixed_train<8>(dst, dstride, src, sstride, count);
+    case 12: return fixed_train<12>(dst, dstride, src, sstride, count);
+    case 16: return fixed_train<16>(dst, dstride, src, sstride, count);
+    default: break;
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    std::memcpy(dst, src, length);
+    dst += dstride;
+    src += sstride;
+  }
+}
+
 using detail::Kind;
 using detail::TypeNode;
 
@@ -528,20 +565,21 @@ void Datatype::for_each_segment(
 
 void Datatype::pack(const std::byte* src, std::size_t count,
                     std::byte* dst) const {
+  const std::size_t bytes = count * node_->size;
+  if (bytes == 0) return;  // nothing to move; empty buffers may be null
   if (node_->contiguous) {
-    std::memcpy(dst, src, count * node_->size);
+    std::memcpy(dst, src, bytes);
     return;
   }
   if (detail::g_plan_enabled.load(std::memory_order_relaxed)) {
     const std::vector<detail::Quad>& plan = node_->compiled();
-    const detail::CopyTrainFn train = detail::copy_train_fn();
     std::byte* out = dst;
     for (std::size_t i = 0; i < count; ++i) {
       const std::byte* base = src + i * node_->extent;
       for (const detail::Quad& q : plan) {
         // Gather: dense destination runs, strided source runs.
-        train(out, static_cast<std::ptrdiff_t>(q.length), base + q.offset,
-              q.stride, q.length, q.count);
+        copy_train(out, static_cast<std::ptrdiff_t>(q.length),
+                   base + q.offset, q.stride, q.length, q.count);
         out += q.length * q.count;
       }
     }
@@ -556,20 +594,21 @@ void Datatype::pack(const std::byte* src, std::size_t count,
 
 void Datatype::unpack(const std::byte* src, std::size_t count,
                       std::byte* dst) const {
+  const std::size_t bytes = count * node_->size;
+  if (bytes == 0) return;  // nothing to move; empty buffers may be null
   if (node_->contiguous) {
-    std::memcpy(dst, src, count * node_->size);
+    std::memcpy(dst, src, bytes);
     return;
   }
   if (detail::g_plan_enabled.load(std::memory_order_relaxed)) {
     const std::vector<detail::Quad>& plan = node_->compiled();
-    const detail::CopyTrainFn train = detail::copy_train_fn();
     const std::byte* in = src;
     for (std::size_t i = 0; i < count; ++i) {
       std::byte* base = dst + i * node_->extent;
       for (const detail::Quad& q : plan) {
         // Scatter: strided destination runs, dense source runs.
-        train(base + q.offset, q.stride, in,
-              static_cast<std::ptrdiff_t>(q.length), q.length, q.count);
+        copy_train(base + q.offset, q.stride, in,
+                   static_cast<std::ptrdiff_t>(q.length), q.length, q.count);
         in += q.length * q.count;
       }
     }
@@ -625,8 +664,8 @@ void copy_regions(const Datatype& src_type, const std::byte* src,
   }
   // One-sided contiguity degrades to pack/unpack: a dense destination region
   // IS the packed stream of the source (and vice versa), and pack/unpack run
-  // the dispatched copy-train kernel once per quad — strictly better than
-  // marching two cursors run by run.
+  // the copy train once per quad — strictly better than marching two cursors
+  // run by run.
   if (dst_type.node_->contiguous) {
     src_type.pack(src, src_count, dst);
     return;
@@ -637,7 +676,7 @@ void copy_regions(const Datatype& src_type, const std::byte* src,
   }
   // Both sides strided: march the two packed byte streams together. Whenever
   // both cursors sit at run starts of equal length, the overlap of the two
-  // current quads is a strided train — one kernel call covers
+  // current quads is a strided train — one copy_train call covers
   // min(remaining repetitions) runs. Mismatched or partially consumed runs
   // fall back to copying the overlap of the current runs byte-exactly.
   const detail::TypeNode& sn = *src_type.node_;
@@ -689,7 +728,6 @@ void copy_regions(const Datatype& src_type, const std::byte* src,
   };
   Cursor sc = make_cursor(sn);
   Cursor dc = make_cursor(dn);
-  const detail::CopyTrainFn train = detail::copy_train_fn();
 
   std::size_t copied = 0;
   while (copied < total) {
@@ -699,8 +737,8 @@ void copy_regions(const Datatype& src_type, const std::byte* src,
       const detail::Quad& sq = sc.quads[sc.qi];
       const detail::Quad& dq = dc.quads[dc.qi];
       const std::size_t reps = std::min(sq.count - sc.rep, dq.count - dc.rep);
-      train(dst + dc.offset(), dq.stride, src + sc.offset(), sq.stride, slen,
-            reps);
+      copy_train(dst + dc.offset(), dq.stride, src + sc.offset(), sq.stride,
+                 slen, reps);
       copied += slen * reps;
       sc.advance_runs(reps);
       dc.advance_runs(reps);

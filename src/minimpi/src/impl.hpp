@@ -7,12 +7,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -147,133 +145,6 @@ struct BufferPool {
                              peak, now, std::memory_order_relaxed)) {
     }
   }
-};
-
-/// A small work-stealing thread pool for packing/unpacking independent
-/// lanes concurrently (Comm::parallel_for_lanes). One executor per rank
-/// thread that opts in (Comm::set_pack_threads), so concurrent jobs from
-/// different ranks never collide. The caller participates: a job over n
-/// lanes is drained by the caller plus `workers()` pool threads pulling
-/// indices from a shared atomic counter. Workers do pure memory work —
-/// virtual-clock charging and fault fates stay on the rank thread
-/// (Comm::isend_packed), which is what keeps the simulation deterministic.
-class PackExecutor {
- public:
-  explicit PackExecutor(int workers) {
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-      threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-
-  PackExecutor(const PackExecutor&) = delete;
-  PackExecutor& operator=(const PackExecutor&) = delete;
-
-  ~PackExecutor() {
-    {
-      std::lock_guard lk(m_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  [[nodiscard]] int workers() const noexcept {
-    return static_cast<int>(threads_.size());
-  }
-
-  /// Runs fn(i) for every i in [0, n), the caller working alongside the
-  /// pool. Returns the number of lanes each slot processed (slot 0 = the
-  /// caller, slot w+1 = worker w) — callers use it to emit per-worker trace
-  /// events. Blocks until all n lanes are done; fn must be safe to invoke
-  /// concurrently for distinct i.
-  std::vector<std::size_t> parallel_for(
-      std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (n == 0 || threads_.empty()) {
-      std::vector<std::size_t> lanes(threads_.size() + 1, 0);
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      lanes[0] = n;
-      return lanes;
-    }
-    // All job state lives in a shared_ptr'd Job (fn copied in), so a worker
-    // that grabbed the job but stalled before claiming a lane can never
-    // bleed into a later job: its index counter is per-job and exhausted,
-    // so the stalled worker's fetch_add returns >= n and it touches nothing.
-    auto job = std::make_shared<Job>();
-    job->fn = fn;
-    job->n = n;
-    job->pending = n;
-    job->counts.assign(threads_.size() + 1, 0);
-    {
-      std::lock_guard lk(m_);
-      job_ = job;
-      ++gen_;
-    }
-    cv_.notify_all();
-    drain(*job, 0);
-    {
-      std::unique_lock lk(m_);
-      done_cv_.wait(lk, [&] { return job->pending == 0; });
-      if (job_ == job) job_ = nullptr;
-    }
-    // pending == 0 proves every lane ran and its counts bump happened-before
-    // the final decrement under m_, so reading counts here is race-free; a
-    // stalled worker still holding the shared_ptr finds the counter
-    // exhausted and never writes counts again.
-    return std::move(job->counts);
-  }
-
- private:
-  /// One parallel_for invocation. Heap-held and shared between the caller
-  /// and the workers so stale references stay valid (and inert) after the
-  /// caller returns.
-  struct Job {
-    std::function<void(std::size_t)> fn;  // copied: outlives the call site
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};  // next lane index to claim
-    std::size_t pending = 0;           // undone lanes, guarded by m_
-    std::vector<std::size_t> counts;   // per-slot lane totals, single-writer
-  };
-
-  /// Pulls indices until the job is exhausted; bumps counts[slot] per lane.
-  void drain(Job& job, std::size_t slot) {
-    std::size_t finished = 0;
-    for (;;) {
-      const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= job.n) break;
-      job.fn(i);
-      ++job.counts[slot];
-      ++finished;
-    }
-    if (finished == 0) return;
-    std::lock_guard lk(m_);
-    job.pending -= finished;
-    if (job.pending == 0) done_cv_.notify_all();
-  }
-
-  void worker_loop(int w) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock lk(m_);
-        cv_.wait(lk, [&] { return stop_ || gen_ != seen; });
-        if (stop_) return;
-        seen = gen_;
-        // The job may already be fully drained (and unpublished) by the time
-        // this worker wakes — job_ is null then and there is nothing to do.
-        job = job_;
-      }
-      if (job) drain(*job, static_cast<std::size_t>(w) + 1);
-    }
-  }
-
-  std::vector<std::thread> threads_;
-  std::mutex m_;
-  std::condition_variable cv_;       // wakes workers on a new job
-  std::condition_variable done_cv_;  // wakes the caller on completion
-  std::shared_ptr<Job> job_;         // guarded by m_
-  std::uint64_t gen_ = 0;            // guarded by m_
-  bool stop_ = false;                // guarded by m_
 };
 
 /// Whole-run shared state. One World per mpi::run().
@@ -540,14 +411,6 @@ struct CommImpl {
   /// ranks of this communicator (sender allocates, receiver releases).
   /// Mutable: the messaging helpers take the impl by const reference.
   mutable BufferPool staging;
-
-  // --- parallel lane packing ----------------------------------------------
-  /// Requested PackExecutor size (Comm::set_pack_threads); 0 = serial.
-  std::atomic<int> pack_threads{0};
-  /// Per-rank executors, created lazily on first parallel_for_lanes call and
-  /// resized when the config changes. Each rank thread only touches its own
-  /// slot, so the slots need no lock (same discipline as coll_seq).
-  mutable std::vector<std::unique_ptr<PackExecutor>> pack_exec;
 };
 
 }  // namespace mpi::detail

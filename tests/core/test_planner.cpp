@@ -80,9 +80,7 @@ TEST(PlannerGolden, Strided3dPicksPipelined) {
   EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
   EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
   EXPECT_EQ(d.waves, 1);
-  // 192 KB of inter bytes per rank is far below the 4 MB parallel-pack
-  // floor: threads would cost more than they save (the fused_parpack2
-  // regression the bench measured).
+  // Packing is always serial on the rank thread.
   EXPECT_EQ(d.pack_threads, 0);
   ASSERT_EQ(d.candidates.size(), 6u);
   for (const ddr::CandidateCost& c : d.candidates) {

@@ -1,11 +1,9 @@
-// Topology-aware two-level exchange and parallel lane packing: with a
-// simnet::LinkModel installed (consecutive ranks share a node), the fused
-// and pipelined backends must classify lanes self/intra/inter, move the
-// intra-node lanes zero-copy through shared memory, and still produce
-// bit-identical results — with or without the PackExecutor packing lanes
-// concurrently, and under any forced pack kernel. The 20x loops run under
-// TSan in CI, which is what proves the pointer-publish/ack protocol and the
-// executor handoff race-free.
+// Topology-aware two-level exchange: with a simnet::LinkModel installed
+// (consecutive ranks share a node), the fused and pipelined backends must
+// classify lanes self/intra/inter, move the intra-node lanes zero-copy
+// through shared memory, and still produce bit-identical results. The 20x
+// loops run under TSan in CI, which is what proves the pointer-publish/ack
+// protocol race-free.
 
 #include <gtest/gtest.h>
 
@@ -59,13 +57,11 @@ simnet::LinkParams two_per_node() {
 
 /// E1 with 4 ranks and ranks_per_node=2: ranks {0,1} and {2,3} pair up, so
 /// every rank has exactly one self lane, one intra lane and two inter lanes.
-void run_e1(Backend backend, const mpi::RunOptions& opts, int pack_threads,
-            int repeats) {
+void run_e1(Backend backend, const mpi::RunOptions& opts, int repeats) {
   mpi::run(
       4,
       [&](mpi::Comm& comm) {
         const int rank = comm.rank();
-        if (pack_threads > 0) comm.set_pack_threads(pack_threads);
         Redistributor r(comm, sizeof(float));
         const ddr::OwnedLayout own{Chunk::d2(8, 1, 0, rank),
                                    Chunk::d2(8, 1, 0, rank + 4)};
@@ -107,24 +103,11 @@ TEST_P(TwoLevelBackends, IntraNodeLanesGoZeroCopy) {
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
   opts.network = &model;
-  run_e1(GetParam(), opts, /*pack_threads=*/0, /*repeats=*/3);
+  run_e1(GetParam(), opts, /*repeats=*/20);
 }
 
 TEST_P(TwoLevelBackends, FlatWithoutModelAllLanesInter) {
-  run_e1(GetParam(), {}, /*pack_threads=*/0, /*repeats=*/1);
-}
-
-TEST_P(TwoLevelBackends, ParallelPackStress20x) {
-  // The TSan target: two pool workers plus the rank thread pack and unpack
-  // lanes concurrently for 20 consecutive redistributions.
-  run_e1(GetParam(), {}, /*pack_threads=*/2, /*repeats=*/20);
-}
-
-TEST_P(TwoLevelBackends, ParallelPackPlusTopologyStress20x) {
-  const simnet::LinkModel model(two_per_node());
-  mpi::RunOptions opts;
-  opts.network = &model;
-  run_e1(GetParam(), opts, /*pack_threads=*/2, /*repeats=*/20);
+  run_e1(GetParam(), {}, /*repeats=*/20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Exchange, TwoLevelBackends,
@@ -143,62 +126,8 @@ TEST(TwoLevel, PerRoundBackendsUnaffectedByTopology) {
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
   opts.network = &model;
-  run_e1(Backend::alltoallw, opts, 0, 1);
-  run_e1(Backend::point_to_point, opts, 0, 1);
-}
-
-// Acceptance check: a forced-scalar run and the autodetected-kernel run must
-// deliver byte-identical needed buffers (the kernels differ only in speed).
-TEST(TwoLevel, ForcedScalarMatchesAutodetect) {
-  const simnet::LinkModel model(two_per_node());
-  mpi::RunOptions opts;
-  opts.network = &model;
-  std::vector<std::vector<float>> results;
-  for (const char* kernel : {"scalar", "auto"}) {
-    ASSERT_TRUE(mpi::set_pack_kernel(kernel));
-    std::vector<float> merged;
-    mpi::run(
-        4,
-        [&](mpi::Comm& comm) {
-          const int rank = comm.rank();
-          Redistributor r(comm, sizeof(float));
-          const ddr::OwnedLayout own{Chunk::d2(8, 1, 0, rank),
-                                     Chunk::d2(8, 1, 0, rank + 4)};
-          const Chunk need = Chunk::d2(4, 4, 4 * (rank % 2), 4 * (rank / 2));
-          ddr::SetupOptions sopts;
-          sopts.backend = Backend::point_to_point_fused;
-          r.setup(own, need, sopts);
-          std::vector<float> own_data;
-          for (const auto& c : own) {
-            const auto v = fill_chunk(c);
-            own_data.insert(own_data.end(), v.begin(), v.end());
-          }
-          std::vector<float> need_data(
-              static_cast<std::size_t>(need.volume()), -1);
-          r.redistribute(cbytes_of(own_data), bytes_of(need_data));
-          // Gather every rank's result deterministically for comparison.
-          std::vector<float> all(need_data.size() * 4);
-          const mpi::Datatype f = mpi::Datatype::of<float>();
-          comm.allgather(need_data.data(), need_data.size(), f, all.data(),
-                         need_data.size(), f);
-          if (rank == 0) merged = all;
-        },
-        opts);
-    results.push_back(std::move(merged));
-  }
-  mpi::set_pack_kernel("auto");
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0], results[1]);
-}
-
-TEST(TwoLevel, NegativePackThreadsRejected) {
-  mpi::run(1, [](mpi::Comm& comm) {
-    EXPECT_THROW(comm.set_pack_threads(-1), mpi::Error);
-    comm.set_pack_threads(0);
-    EXPECT_EQ(comm.pack_threads(), 0);
-    comm.set_pack_threads(3);
-    EXPECT_EQ(comm.pack_threads(), 3);
-  });
+  run_e1(Backend::alltoallw, opts, 1);
+  run_e1(Backend::point_to_point, opts, 1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Property tests of the compiled segment plan: for randomly generated
-// datatype trees (all constructors, including zero-size edge cases), the
-// plan-driven pack/unpack must be byte-identical to the legacy recursive
-// walker, and copy_regions must equal pack-then-unpack.
+// datatype trees (all constructors, including zero-size edge cases) and for
+// strided byte trains read from misaligned bases, the plan-driven
+// pack/unpack must be byte-identical to the legacy recursive walker, and
+// copy_regions must equal a legacy-walker pack-then-unpack.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstddef>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "minimpi/minimpi.hpp"
@@ -119,6 +121,57 @@ std::vector<std::byte> random_bytes(std::mt19937& rng, std::size_t n) {
   return v;
 }
 
+/// Run lengths of the strided byte trains: every fixed-size specialization
+/// of the copy train (1/2/4/8/12/16 B), its neighbours, and odd lengths of
+/// the generic memcpy loop up to 100 B.
+constexpr std::size_t kTrainLengths[] = {1,  2,  3,  5,  7,  12, 13, 16, 17,
+                                         23, 31, 32, 33, 63, 64, 65, 100};
+
+/// 7 runs of `len` bytes with 3-byte gaps between them.
+Datatype byte_train(std::size_t len) {
+  return Datatype::hvector(7, 1, static_cast<std::ptrdiff_t>(len + 3),
+                           Datatype::bytes(len));
+}
+
+/// Packs `count` elements of `t` from `src` with the plan and with the
+/// legacy walker; a guard byte after the packed stream must stay untouched.
+void expect_pack_matches_legacy(const Datatype& t, const std::byte* src,
+                                std::size_t count, const std::string& what) {
+  std::vector<std::byte> via_plan(count * t.size() + 1, std::byte{0xAA});
+  std::vector<std::byte> via_legacy = via_plan;
+  {
+    PlanToggle on(true);
+    t.pack(src, count, via_plan.data());
+  }
+  {
+    PlanToggle off(false);
+    t.pack(src, count, via_legacy.data());
+  }
+  ASSERT_EQ(via_plan, via_legacy) << what << ": " << t.describe();
+}
+
+/// Unpacks `count` elements of `t` to offset `misalign` of a pre-filled
+/// buffer with a 16-byte guard band after the extent, with the plan and
+/// with the legacy walker. Holes and the guard band must keep their
+/// previous contents identically on both paths.
+void expect_unpack_matches_legacy(const Datatype& t,
+                                  const std::vector<std::byte>& packed,
+                                  std::size_t count, std::size_t misalign,
+                                  const std::string& what) {
+  std::vector<std::byte> via_plan(count * t.extent() + misalign + 16,
+                                  std::byte{0x5C});
+  std::vector<std::byte> via_legacy = via_plan;
+  {
+    PlanToggle on(true);
+    t.unpack(packed.data(), count, via_plan.data() + misalign);
+  }
+  {
+    PlanToggle off(false);
+    t.unpack(packed.data(), count, via_legacy.data() + misalign);
+  }
+  ASSERT_EQ(via_plan, via_legacy) << what << ": " << t.describe();
+}
+
 TEST(DatatypePlan, PackMatchesLegacyWalkerOnRandomTrees) {
   std::mt19937 rng(20170406);  // the paper's conference date
   for (int trial = 0; trial < 300; ++trial) {
@@ -127,21 +180,18 @@ TEST(DatatypePlan, PackMatchesLegacyWalkerOnRandomTrees) {
         static_cast<std::size_t>(std::uniform_int_distribution<int>(0, 3)(rng));
     const std::vector<std::byte> src =
         random_bytes(rng, count * t.extent() + 16);
-
-    std::vector<std::byte> via_plan(count * t.size() + 1,
-                                    std::byte{0xAA});
-    std::vector<std::byte> via_legacy(count * t.size() + 1,
-                                      std::byte{0xAA});
-    {
-      PlanToggle on(true);
-      t.pack(src.data(), count, via_plan.data());
+    expect_pack_matches_legacy(t, src.data(), count,
+                               "trial " + std::to_string(trial));
+  }
+  // Byte trains gathered from every base alignment 0..7.
+  for (const std::size_t len : kTrainLengths) {
+    const Datatype t = byte_train(len);
+    for (std::size_t mis = 0; mis < 8; ++mis) {
+      const std::vector<std::byte> buf = random_bytes(rng, t.extent() + mis);
+      expect_pack_matches_legacy(t, buf.data() + mis, 1,
+                                 "len " + std::to_string(len) + " misalign " +
+                                     std::to_string(mis));
     }
-    {
-      PlanToggle off(false);
-      t.pack(src.data(), count, via_legacy.data());
-    }
-    ASSERT_EQ(via_plan, via_legacy)
-        << "trial " << trial << ": " << t.describe();
   }
 }
 
@@ -152,20 +202,17 @@ TEST(DatatypePlan, UnpackMatchesLegacyWalkerOnRandomTrees) {
     const std::size_t count =
         static_cast<std::size_t>(std::uniform_int_distribution<int>(0, 3)(rng));
     const std::vector<std::byte> packed = random_bytes(rng, count * t.size());
-
-    // Holes must keep their previous contents identically on both paths.
-    std::vector<std::byte> via_plan(count * t.extent() + 16, std::byte{0x5C});
-    std::vector<std::byte> via_legacy = via_plan;
-    {
-      PlanToggle on(true);
-      t.unpack(packed.data(), count, via_plan.data());
-    }
-    {
-      PlanToggle off(false);
-      t.unpack(packed.data(), count, via_legacy.data());
-    }
-    ASSERT_EQ(via_plan, via_legacy)
-        << "trial " << trial << ": " << t.describe();
+    expect_unpack_matches_legacy(t, packed, count, 0,
+                                 "trial " + std::to_string(trial));
+  }
+  // Byte trains scattered to every base alignment 0..7.
+  for (const std::size_t len : kTrainLengths) {
+    const Datatype t = byte_train(len);
+    const std::vector<std::byte> packed = random_bytes(rng, t.size());
+    for (std::size_t mis = 0; mis < 8; ++mis)
+      expect_unpack_matches_legacy(t, packed, 1, mis,
+                                   "len " + std::to_string(len) +
+                                       " misalign " + std::to_string(mis));
   }
 }
 
@@ -213,10 +260,29 @@ TEST(DatatypePlan, FullBoxSubarrayIsContiguous) {
   EXPECT_FALSE(partial.contiguous());
 }
 
+/// copy_regions(a -> b) with the plan must produce exactly what a
+/// legacy-walker pack(a) followed by unpack(b) produces; a guard band after
+/// b's extent must stay untouched.
+void expect_copy_regions_matches_legacy(const Datatype& a, std::size_t na,
+                                        const Datatype& b, std::size_t nb,
+                                        std::mt19937& rng) {
+  const std::vector<std::byte> src = random_bytes(rng, na * a.extent());
+  std::vector<std::byte> via_copy(nb * b.extent() + 8, std::byte{0x11});
+  std::vector<std::byte> via_packed = via_copy;
+
+  mpi::copy_regions(a, src.data(), na, b, via_copy.data(), nb);
+
+  PlanToggle off(false);
+  std::vector<std::byte> dense(na * a.size());
+  a.pack(src.data(), na, dense.data());
+  b.unpack(dense.data(), nb, via_packed.data());
+
+  ASSERT_EQ(via_copy, via_packed)
+      << "a=" << a.describe() << " b=" << b.describe();
+}
+
 TEST(DatatypePlan, CopyRegionsMatchesPackUnpackOnRandomTreePairs) {
-  // copy_regions(src_type -> dst_type) must produce exactly what
-  // pack(src_type) followed by unpack(dst_type) produces, for any pair of
-  // types describing the same number of data bytes.
+  // Any pair of types describing the same number of data bytes.
   std::mt19937 rng(1717);
   int tested = 0;
   for (int trial = 0; trial < 600 && tested < 120; ++trial) {
@@ -229,21 +295,18 @@ TEST(DatatypePlan, CopyRegionsMatchesPackUnpackOnRandomTreePairs) {
     const std::size_t nb = lcm / b.size();
     if (na > 16 || nb > 16) continue;
     ++tested;
-
-    const std::vector<std::byte> src = random_bytes(rng, na * a.extent());
-    std::vector<std::byte> via_copy(nb * b.extent(), std::byte{0x11});
-    std::vector<std::byte> via_packed = via_copy;
-
-    mpi::copy_regions(a, src.data(), na, b, via_copy.data(), nb);
-
-    std::vector<std::byte> dense(lcm);
-    a.pack(src.data(), na, dense.data());
-    b.unpack(dense.data(), nb, via_packed.data());
-
-    ASSERT_EQ(via_copy, via_packed)
-        << "a=" << a.describe() << " b=" << b.describe();
+    expect_copy_regions_matches_legacy(a, na, b, nb, rng);
   }
   ASSERT_GE(tested, 50) << "random generator produced too few usable pairs";
+  // One element of each of two independent layouts (zero-size ones
+  // included); a destination whose size differs becomes a dense run of the
+  // source's size, which exercises the one-sided-contiguous path.
+  for (int trial = 0; trial < 60; ++trial) {
+    const Datatype a = random_type(rng, 3);
+    Datatype b = random_type(rng, 3);
+    if (b.size() != a.size()) b = Datatype::bytes(a.size());
+    expect_copy_regions_matches_legacy(a, 1, b, 1, rng);
+  }
 }
 
 TEST(DatatypePlan, CopyRegionsZeroBytesIsANoop) {

@@ -18,14 +18,13 @@
 //                 run-compressed quad totals for the plain per-round p2p
 //                 backend and the fused per-peer backend side by side, plus
 //                 the pipelined backend's per-rank receive-window depth,
-//                 each fused lane's locality class (self/intra/inter), the
-//                 pack kernel runtime dispatch selected on this host, and
+//                 each fused lane's locality class (self/intra/inter), and
 //                 the planner's per-candidate self/intra/inter byte split
 //                 (the same ddr::Planner numbers --plan decides from, so
 //                 the two views reconcile by construction)
 //     --plan      run the cost-model planner (ddr::Planner) over the layout
 //                 and print its decision — chosen backend, collective shape,
-//                 pack threads, wave schedule — plus a per-candidate table of
+//                 wave schedule — plus a per-candidate table of
 //                 predicted vs MEASURED cost: each candidate backend is
 //                 actually executed under the threaded runtime and its
 //                 median wall-clock (or virtual makespan when a link model
@@ -274,8 +273,7 @@ int run_validate(const ddr::LayoutSpec& spec) {
 /// pipelined backend's receive-window depth: how many per-peer lane receives
 /// it posts up front (every round stitched per peer) before any data moves.
 /// After the table, each fused lane's locality class under a
-/// `ranks_per_node`-blocked topology and the pack kernel the runtime
-/// dispatch selected on this host.
+/// `ranks_per_node`-blocked topology.
 int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
   const ddr::GlobalLayout& layout = spec.layout;
   std::printf("layout: %d ranks, %dD, %zu-byte elements\n", layout.nranks(),
@@ -389,10 +387,6 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
     std::printf("%s\n", any ? "" : " (no send lanes)");
   }
 
-  std::printf("\npack kernel: %s (runtime-dispatched; override with "
-              "MINIMPI_PACK_KERNEL=scalar|sse2|avx2|auto)\n",
-              mpi::pack_kernel_name().c_str());
-
   // Planner's per-candidate byte split under the same blocked topology as
   // the locality section above. --cost's static accounting and --plan's
   // decision come from the same ddr::Planner call, so the self/intra/inter
@@ -454,7 +448,6 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
                 "node):\n");
   std::printf("  chosen backend   : %s\n", ddr::backend_name(d.backend));
   std::printf("  collective shape : %s\n", shape_name(d.shape));
-  std::printf("  pack threads     : %d\n", d.pack_threads);
   if (budget > 0)
     std::printf("  staging budget   : %zu B -> %d wave(s)\n", budget, d.waves);
   else
