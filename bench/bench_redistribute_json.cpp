@@ -11,8 +11,8 @@
 //   compiled_alltoallw     compiled segment plans, alltoallw backend
 //   compiled_p2p           compiled plans, per-round point-to-point backend
 //   compiled_p2p_fused     compiled plans, per-peer fused p2p backend
-//   compiled_p2p_pipelined compiled plans, all-round receive window with
-//                          out-of-order wait_any completion
+//   compiled_p2p_pipelined compiled plans, the same lane program as fused
+//                          (the planner's tie-break prefers this name)
 //   automatic              ddr::Planner picks the backend at setup()
 //                          (Backend::automatic); the bench exits
 //                          non-zero unless its median lands within 5% (plus

@@ -4,8 +4,7 @@
 /// Cost-model-driven backend planning (ROADMAP item 2).
 ///
 /// The bench snapshot shows no single backend dominates: fused p2p wins
-/// strided multi-round exchanges, plain p2p wins small low-round ones, and
-/// the pipelined receive window only pays off once lanes are large.
+/// strided multi-round exchanges and plain p2p wins small low-round ones.
 /// ddr::Planner replaces the manual Backend choice: at setup() time it
 /// consumes the redistribution's compiled-plan statistics — transfer counts,
 /// per-lane bytes, round structure, the self/intra-node/inter-node split
@@ -42,24 +41,24 @@ enum class Backend {
   point_to_point,
   /// Point-to-point with every peer's per-round lanes fused into ONE
   /// struct-typed message, cutting the message count from rounds x peers to
-  /// peers. Under an active FaultModel this mode is gated off: the reliable
-  /// retry protocol re-requests individual (round, peer) transfers, so
-  /// redistribute() falls back to the per-round point-to-point path (see
-  /// Redistributor::effective_backend).
+  /// peers. One preset of the lane program (Redistributor::execute_lanes)
+  /// that also runs point_to_point_pipelined, collective and hybrid: every
+  /// receive is posted before any lane is packed, the self lane is a
+  /// copy_regions, intra-node lanes (under a NetworkModel) move zero-copy
+  /// through a published owned-buffer pointer, and receives complete in
+  /// posting order. Under an active FaultModel the lane presets are gated
+  /// off: the reliable retry protocol re-requests individual (round, peer)
+  /// transfers, so redistribute() falls back to the per-round
+  /// point-to-point path (see Redistributor::effective_backend).
   point_to_point_fused,
-  /// Pipelined point-to-point: the full per-peer receive window (every
-  /// peer's fused lane, all rounds stitched) is posted before any byte is
-  /// packed, sends stream lane-by-lane through the staging pool, and
-  /// receives complete out-of-order the moment they land (mpi::wait_any) —
-  /// each lane unpacked on arrival rather than in posting order behind a
-  /// wait_all fence — so total latency approaches the max per-peer transfer
-  /// time instead of rounds x round time. Like fused, an active FaultModel
-  /// gates this mode to the reliable per-round path (see
-  /// Redistributor::effective_backend).
+  /// The same lane program as point_to_point_fused, byte for byte and span
+  /// for span; kept as its own value so existing requests and planner
+  /// candidates stay valid. Priced identically to fused, and preferred on a
+  /// tie.
   point_to_point_pipelined,
-  /// Collective-sequence lowering: the fused per-peer lanes are executed as
-  /// a sequence of fenced waves (mpi::Comm::sequenced_exchange), each wave's
-  /// total payload bounded by SetupOptions::peak_staging_bytes, so the
+  /// The lane program with every non-self lane packed (intra-node lanes
+  /// too) and the lanes split into waves, each closed by a barrier, whose
+  /// total payload is bounded by SetupOptions::peak_staging_bytes, so the
   /// staging pool's peak live bytes stay under the budget no matter how much
   /// data the exchange moves. Trades wall time (one barrier per wave) for
   /// peak staging — the memory-efficient redistribution axis. Broadcast- and
@@ -72,7 +71,7 @@ enum class Backend {
   /// that wins for it — self lanes stay copy_regions zero-copy, intra-node
   /// lanes go through the ptr-publish zero-copy path (two control messages,
   /// no packed payload, no staging beyond the pointer), and ONLY the
-  /// inter-node lanes are lowered to a fenced collective wave sequence whose
+  /// inter-node lanes move in the lane program's fenced waves, whose
   /// per-wave payload respects SetupOptions::peak_staging_bytes. Compared to
   /// Backend::collective the intra-node bytes never pack, never stage, and
   /// never count against the budget, so the same budget needs fewer fences.

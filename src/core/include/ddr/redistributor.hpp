@@ -336,23 +336,12 @@ class Redistributor {
                          std::span<std::byte> needed_data) const;
   void execute_p2p(std::span<const std::byte> owned_data,
                    std::span<std::byte> needed_data) const;
-  void execute_p2p_fused(std::span<const std::byte> owned_data,
-                         std::span<std::byte> needed_data) const;
-  void execute_p2p_pipelined(std::span<const std::byte> owned_data,
-                             std::span<std::byte> needed_data) const;
   void execute_p2p_reliable(std::span<const std::byte> owned_data,
                             std::span<std::byte> needed_data) const;
-  /// Backend::collective — the fused lanes executed as a fenced wave
-  /// sequence (mpi::Comm::sequenced_exchange) whose per-wave payload stays
-  /// within SetupOptions::peak_staging_bytes.
-  void execute_collective(std::span<const std::byte> owned_data,
-                          std::span<std::byte> needed_data) const;
-  /// Backend::hybrid — per-peer-class composition: self lanes copy_regions,
-  /// intra lanes the ptr-publish zero-copy path, inter lanes a fenced wave
-  /// sequence over ONLY those lanes (waves from the planner's inter-only
-  /// schedule, so intra bytes never count against the staging budget).
-  void execute_hybrid(std::span<const std::byte> owned_data,
-                      std::span<std::byte> needed_data) const;
+  /// The fused, pipelined, collective and hybrid presets: runs program_
+  /// (see LaneProgram).
+  void execute_lanes(std::span<const std::byte> owned_data,
+                     std::span<std::byte> needed_data) const;
 
   mpi::Comm comm_;
   std::size_t elem_size_;
@@ -368,12 +357,6 @@ class Redistributor {
   /// every rank — derived only from the allgathered layout and the run-wide
   /// NetworkModel.
   Backend resolved_backend_ = Backend::alltoallw;
-  /// Wave index per fused send / recv lane (parallel to mapping_.fused_send
-  /// / fused_recv) and the wave count, for Backend::collective and
-  /// Backend::hybrid (hybrid schedules only its inter lanes: self lanes
-  /// carry wave -1 on both, and intra lanes carry -1 under hybrid).
-  std::vector<int> coll_send_wave_, coll_recv_wave_;
-  int coll_nwaves_ = 1;
   /// The cache plan_epoch this mapping's decision was resolved under (only
   /// meaningful when options_.plan_cache != nullptr; redistribute() rejects
   /// execution once the cache has been invalidated past it).
@@ -385,20 +368,9 @@ class Redistributor {
   /// Request scratch reused across redistribute() calls so the steady-state
   /// p2p data path performs no heap allocation.
   mutable std::vector<mpi::Request> reqs_;
-  /// (round, peer, bytes) metadata parallel to the receive window in reqs_
-  /// in the pipelined executor, so out-of-order completions can be traced
-  /// against the lane they satisfy (fused lanes span every round, so their
-  /// round is -1). Reused scratch, like reqs_.
-  struct PipelineRecv {
-    int round = -1;
-    int peer = -1;
-    std::int64_t bytes = 0;
-  };
-  mutable std::vector<PipelineRecv> recv_meta_;
-
-  /// Locality class per fused lane, parallel to mapping_.fused_send /
-  /// mapping_.fused_recv (computed at setup from mpi::Comm::same_node).
-  std::vector<LaneClass> fused_send_class_, fused_recv_class_;
+  /// Locality class per fused send lane, parallel to mapping_.fused_send
+  /// (computed at setup from mpi::Comm::same_node).
+  std::vector<LaneClass> fused_send_class_;
   /// One entry per intra-node SENDING peer: everything the receiver needs to
   /// execute that peer's lane zero-copy — the sender-side lane (rebuilt
   /// deterministically with build_peer_send_lane, read through the pointer
@@ -411,16 +383,39 @@ class Redistributor {
     mpi::Datatype my_type;       ///< this rank's fused recv lane type
     std::int64_t bytes = 0;
   };
-  std::vector<IntraRecv> intra_recv_;
 
-  /// Handles the intra-node lanes of one fused/pipelined redistribute():
-  /// publishes this rank's owned-buffer pointer to intra peers it sends to,
-  /// then (in receive position) copies each intra sender's lane zero-copy
-  /// and acks it. wait_intra_acks() blocks until every intra receiver has
-  /// finished reading this rank's owned buffer.
-  void publish_intra(std::span<const std::byte> owned_data, int epoch) const;
-  void complete_intra_recvs(std::span<std::byte> needed_data, int epoch) const;
-  void wait_intra_acks(int epoch) const;
+  /// What execute_lanes() runs: the fused per-peer lanes of this rank,
+  /// routed once at setup. finish_setup() builds it only when the resolved
+  /// backend is one of the four lane presets; it is empty otherwise.
+  ///
+  ///   preset              packed lanes     intra lanes  waves        fence
+  ///   fused, pipelined    inter only       zero-copy    1            none
+  ///   collective          every non-self   packed       under budget barrier
+  ///   hybrid              inter only       zero-copy    under budget barrier
+  ///
+  /// Waves come from assign_collective_waves() over collective_lanes() or
+  /// hybrid_inter_lanes(), so a lane's wave matches on sender and receiver.
+  struct LaneProgram {
+    /// One packed lane: an index into mapping_.fused_send / fused_recv and
+    /// the wave it moves in.
+    struct Packed {
+      std::size_t lane = 0;
+      int wave = 0;
+    };
+    std::vector<Packed> sends, recvs;
+    /// Zero-copy intra-node lanes: the fused_send indices this rank
+    /// publishes its owned-buffer pointer on, and the lanes it copies out
+    /// of its intra-node senders' buffers.
+    std::vector<std::size_t> intra_sends;
+    std::vector<IntraRecv> intra_recvs;
+    /// The self lane's fused_send / fused_recv index, or -1.
+    std::ptrdiff_t self_send = -1, self_recv = -1;
+    int waves = 1;
+    /// Whether a barrier closes every wave (collective, hybrid): it proves
+    /// the wave's staging is back in the pool before the next wave packs.
+    bool fenced = false;
+  };
+  LaneProgram program_;
 
   /// Optional per-Redistributor trace sink (see trace_sink()). Not owned.
   trace::Recorder* trace_ = nullptr;

@@ -16,7 +16,7 @@ namespace {
 // calibrated against BENCH_redistribute.json on the reference host so the
 // argmin over candidates reproduces the measured winners (plain p2p on
 // low-round small exchanges, the fused flavours when fusion collapses the
-// message count, pipelined over fused when the receive window overlaps).
+// message count).
 // Absolute values matter less than ratios — the planner compares candidates,
 // it does not forecast wall time.
 
@@ -33,13 +33,6 @@ constexpr double kRoundSyncS = 3.0e-7;
 constexpr double kBarrierHopS = 1.5e-6;
 /// Plan-walk cost per stored quad (local predicted_s refinement only).
 constexpr double kQuadWalkS = 5.0e-9;
-/// Fraction of the smaller of pack/unpack byte cost the pipelined backend
-/// hides behind the receive window.
-constexpr double kPipelineOverlap = 0.5;
-/// The pipelined backend earns that overlap credit only when some lane
-/// carries at least this many bytes: below it the per-lane spans dominate
-/// and the receive window hides nothing.
-constexpr std::int64_t kPipelineOverlapMinLaneBytes = 32 * 1024;
 /// Zero-copy intra-node lanes still pay one copy_regions pass.
 constexpr double kIntraByteCostS = 2.0e-10;
 
@@ -55,14 +48,8 @@ struct Aggregates {
   std::int64_t inter_bytes = 0;
   std::int64_t intra_bytes = 0;
   std::int64_t pieces = 0;            ///< non-self (round, pair) transfers
-  std::int64_t max_lane_bytes = 0;
   std::vector<std::int64_t> round_bytes;  ///< non-self bytes per round
-  // Per-rank splits (index: comm rank).
-  std::vector<std::int64_t> pieces_out, pieces_in;
-  std::vector<std::int64_t> lanes_out, lanes_in;
-  std::vector<std::int64_t> bytes_out, bytes_in;
-  std::vector<std::int64_t> intra_lanes_out, intra_lanes_in;
-  std::vector<std::int64_t> self_bytes_rank;
+  std::vector<std::int64_t> self_bytes_rank;  ///< index: comm rank
 };
 
 int to_world(int comm_rank, const std::vector<int>* world_ranks) {
@@ -80,14 +67,6 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
     a.rounds = std::max(a.rounds, static_cast<int>(o.size()));
   const auto p = static_cast<std::size_t>(a.nranks);
   a.round_bytes.assign(static_cast<std::size_t>(a.rounds), 0);
-  a.pieces_out.assign(p, 0);
-  a.pieces_in.assign(p, 0);
-  a.lanes_out.assign(p, 0);
-  a.lanes_in.assign(p, 0);
-  a.bytes_out.assign(p, 0);
-  a.bytes_in.assign(p, 0);
-  a.intra_lanes_out.assign(p, 0);
-  a.intra_lanes_in.assign(p, 0);
   a.self_bytes_rank.assign(p, 0);
 
   auto node_of = [&](int rank) {
@@ -116,22 +95,7 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
     a.lane_inter.push_back(!intra);
     a.total_bytes += bytes;
     a.pieces += pieces;
-    a.max_lane_bytes = std::max(a.max_lane_bytes, bytes);
-    const auto si = static_cast<std::size_t>(s);
-    const auto ri = static_cast<std::size_t>(r);
-    a.pieces_out[si] += pieces;
-    a.pieces_in[ri] += pieces;
-    ++a.lanes_out[si];
-    ++a.lanes_in[ri];
-    a.bytes_out[si] += bytes;
-    a.bytes_in[ri] += bytes;
-    if (intra) {
-      a.intra_bytes += bytes;
-      ++a.intra_lanes_out[si];
-      ++a.intra_lanes_in[ri];
-    } else {
-      a.inter_bytes += bytes;
-    }
+    (intra ? a.intra_bytes : a.inter_bytes) += bytes;
   }
   return a;
 }
@@ -317,32 +281,29 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
       max_hybrid_wave_bytes = std::max(max_hybrid_wave_bytes, b);
   }
 
-  // Per-rank cost of the plain per-(round, pair) schedule: p2p and
-  // alltoallw move the same pieces; they differ in loop structure only.
-  std::vector<double> plain(p, 0.0);
-  std::vector<double> fused_fixed(p, 0.0);
-  std::vector<double> fused_bytes_out(p, 0.0), fused_bytes_in(p, 0.0);
+  // Per-rank cost of the unfenced lane program (fused, pipelined).
+  std::vector<double> fused(p, 0.0);
   for (std::size_t i = 0; i < a.lanes.size(); ++i) {
     const CollectiveLane& l = a.lanes[i];
     const auto si = static_cast<std::size_t>(l.sender);
     const auto ri = static_cast<std::size_t>(l.receiver);
-    const bool inter = a.lane_inter[i];
-    if (inter) {
-      fused_fixed[si] += price.send_side(0) + kLaneStitchS;
-      fused_fixed[ri] += kLaneStitchS;
-      fused_bytes_out[si] += price.send_side(l.bytes) - price.send_side(0);
-      fused_bytes_in[ri] += price.recv_side(l.bytes, l.sender, l.receiver);
+    if (a.lane_inter[i]) {
+      fused[si] += price.send_side(l.bytes) + kLaneStitchS;
+      fused[ri] += price.recv_side(l.bytes, l.sender, l.receiver) +
+                   kLaneStitchS;
     } else {
       // Zero-copy intra-node lane: two control messages and one
       // copy_regions pass, no packed payload.
       const double ctrl = price.send_side(0) + price.recv_side(0, l.sender,
                                                                l.receiver);
-      fused_fixed[si] += ctrl;
-      fused_fixed[ri] += ctrl +
-                         static_cast<double>(l.bytes) * kIntraByteCostS;
+      fused[si] += ctrl;
+      fused[ri] += ctrl + static_cast<double>(l.bytes) * kIntraByteCostS;
     }
   }
-  // Plain pieces: every (round, pair) transfer is its own message.
+  // Per-rank cost of the plain per-(round, pair) schedule: p2p and
+  // alltoallw move the same pieces; they differ in loop structure only.
+  // Every (round, pair) transfer is its own message.
+  std::vector<double> plain(p, 0.0);
   for (const Transfer& t : enumerate_transfers(layout, elem_size)) {
     if (t.sender == t.receiver) continue;
     plain[static_cast<std::size_t>(t.sender)] += price.send_side(t.bytes);
@@ -397,29 +358,12 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
       fused_msgs += 2;  // pointer publish + ack
       fused_peak += static_cast<std::int64_t>(sizeof(std::uintptr_t));
     }
-  std::vector<double> fused(p, 0.0);
-  for (std::size_t r = 0; r < p; ++r)
-    fused[r] = fused_fixed[r] + fused_bytes_out[r] + fused_bytes_in[r];
   add_candidate(Backend::point_to_point_fused, max_of(fused), fused_msgs,
                 static_cast<std::size_t>(fused_peak));
 
-  // pipelined: fused minus the pack/unpack overlap the receive window hides.
-  // Small lanes see no benefit — the per-lane spans dominate — so the credit
-  // is gated on a minimum lane size. It is also gated on
-  // fusion actually collapsing messages (pieces > lanes): in a single-round
-  // exchange the fused lane set IS the plain message set, the stitched types
-  // buy nothing, and measured medians put plain p2p ahead (bcast3d).
-  {
-    std::vector<double> cost = fused;
-    if (a.max_lane_bytes >= kPipelineOverlapMinLaneBytes &&
-        a.pieces > static_cast<std::int64_t>(a.lanes.size()))
-      for (std::size_t r = 0; r < p; ++r)
-        if (a.lanes_in[r] >= 2)
-          cost[r] -= kPipelineOverlap *
-                     std::min(fused_bytes_out[r], fused_bytes_in[r]);
-    add_candidate(Backend::point_to_point_pipelined, max_of(cost), fused_msgs,
-                  static_cast<std::size_t>(fused_peak));
-  }
+  // pipelined: the same lane program as fused, so the same price.
+  add_candidate(Backend::point_to_point_pipelined, max_of(fused), fused_msgs,
+                static_cast<std::size_t>(fused_peak));
 
   // collective sequence: every non-self lane packed and sent exactly once
   // (intra lanes included — waves fence the pool, zero-copy does not

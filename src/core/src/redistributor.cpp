@@ -51,27 +51,22 @@ Chunk from_wire(const ChunkWire& w) {
 //   done token (zero-byte)      : kP2pTagBase + e
 //   retry request for round k   : kP2pTagBase + W*(1 + k)     + e
 //   data message for round k    : kP2pTagBase + W*(1 + R + k) + e
-//   fused data message          : kP2pTagBase + W*(1 + 2R)    + e
+//   fused lane message          : kP2pTagBase + W*(1 + 2R)    + e
 //   intra-node pointer publish  : kP2pTagBase + W*(2 + 2R)    + e
 //   intra-node copy ack         : kP2pTagBase + W*(3 + 2R)    + e
-//   collective wave sequence    : kP2pTagBase + W*(4 + 2R)    + e
 //
-// Highest tag used: kP2pTagBase + W*(5 + 2R) - 1; setup() rejects mappings
+// Highest tag used: kP2pTagBase + W*(4 + 2R) - 1; setup() rejects mappings
 // whose round count would exceed the ceiling. Epochs scope one
 // redistribute() call's traffic: re-sent or duplicated messages of one call
 // can never be mistaken for another call's (the window would have to wrap
 // within W in-flight calls, and each call drains its window before and after
-// use). The fused lane needs only one window regardless of the round count
-// because each peer pair exchanges at most one fused message per epoch; the
-// pipelined backend shares that window — it moves the same one-message-per-
-// peer lanes, differing only in completion order — so neither fused flavour
-// grows the tag budget. Intra-node lanes likewise exchange at most one
-// pointer and one ack per peer pair per epoch, so the two-level exchange
-// costs two windows regardless of the round count. Only inter-node data
-// messages consume the per-round data windows — intra lanes move zero-copy
-// and never touch them. The collective-sequence backend moves the same
-// one-message-per-peer lanes as fused, just fenced into waves, so it too
-// costs one window regardless of the round or wave count.
+// use). The lane program (execute_lanes) needs only one data window
+// regardless of the round or wave count, because each peer pair exchanges
+// at most one fused lane message per epoch; every preset shares it.
+// Intra-node lanes likewise exchange at most one pointer and one ack per
+// peer pair per epoch, so the zero-copy path costs two windows regardless of
+// the round count. Only the per-round data messages consume the per-round
+// windows.
 
 /// Tag base for the point-to-point backend, chosen high so it cannot collide
 /// with typical application tags.
@@ -86,7 +81,7 @@ int p2p_retry_tag(int round, int epoch) {
 int p2p_data_tag(int round, int nrounds, int epoch) {
   return kP2pTagBase + kP2pEpochWindow * (1 + nrounds + round) + epoch;
 }
-int p2p_fused_tag(int nrounds, int epoch) {
+int p2p_lane_tag(int nrounds, int epoch) {
   return kP2pTagBase + kP2pEpochWindow * (1 + 2 * nrounds) + epoch;
 }
 int p2p_intra_ptr_tag(int nrounds, int epoch) {
@@ -95,8 +90,12 @@ int p2p_intra_ptr_tag(int nrounds, int epoch) {
 int p2p_intra_ack_tag(int nrounds, int epoch) {
   return kP2pTagBase + kP2pEpochWindow * (3 + 2 * nrounds) + epoch;
 }
-int p2p_coll_tag(int nrounds, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (4 + 2 * nrounds) + epoch;
+
+/// The backends execute_lanes() runs: presets of one lane program.
+bool runs_lane_program(Backend b) {
+  return b == Backend::point_to_point_fused ||
+         b == Backend::point_to_point_pipelined || b == Backend::collective ||
+         b == Backend::hybrid;
 }
 
 // --- fail-safe collective error agreement ------------------------------------
@@ -302,36 +301,19 @@ void Redistributor::finish_setup() {
   mapping_ = build_mapping(layout_, comm_.rank(), elem_size_);
   stats_ = compute_stats(layout_, elem_size_);
 
-  // 6b. Classify the fused lanes by locality (see LaneClass). For every
-  // intra-node peer that sends to this rank, rebuild that peer's send lane
-  // locally: the receiver executes the lane zero-copy by reading the
-  // sender's owned buffer directly through the sender's own lane type, so it
-  // needs that type on its side — deterministically derivable from the
-  // allgathered layout, no extra communication. Without a NetworkModel
-  // same_node() is false for every peer and this reduces to the flat
-  // exchange (all non-self lanes inter, intra_recv_ empty).
+  // 6b. Classify the fused lanes by locality (see LaneClass). Without a
+  // NetworkModel same_node() is false for every peer, so every non-self
+  // lane is inter and the lane program reduces to the flat exchange.
   auto classify = [&](int peer) {
     if (peer == mapping_.rank) return LaneClass::self;
     return comm_.same_node(peer) ? LaneClass::intra : LaneClass::inter;
   };
   fused_send_class_.clear();
-  fused_recv_class_.clear();
-  intra_recv_.clear();
   for (const PeerLane& l : mapping_.fused_send)
     fused_send_class_.push_back(classify(l.peer));
-  for (const PeerLane& l : mapping_.fused_recv) {
-    const LaneClass cls = classify(l.peer);
-    fused_recv_class_.push_back(cls);
-    if (cls != LaneClass::intra) continue;
-    PeerLane peer_lane =
-        build_peer_send_lane(layout_, l.peer, mapping_.rank, elem_size_);
-    require(peer_lane.peer == mapping_.rank,
-            "setup: internal error — intra-node recv lane from rank " +
-                std::to_string(l.peer) + " has no matching send lane");
-    peer_lane.type.precompile();
-    intra_recv_.push_back({l.peer, peer_lane.displ, std::move(peer_lane.type),
-                           l.displ, l.type, l.bytes});
-  }
+  std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
+  for (int r = 0; r < mapping_.nranks; ++r)
+    world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
 
   // 6c. Plan. Every setup() runs the cost model — so plan() can always be
   // compared against a manually requested backend (ddrinfo --plan) — and
@@ -343,9 +325,6 @@ void Redistributor::finish_setup() {
   // and prewarm size — never the backend choice.
   {
     DDR_TRACE_SPAN(dspan, "ddr.plan.decide");
-    std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
-    for (int r = 0; r < mapping_.nranks; ++r)
-      world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
     // Resolve through the execution-plan cache when one is attached: the
     // decision is a pure function of (layout, elem_size, budget, topology,
     // rank), so a fingerprint hit replays it exactly and skips the global
@@ -387,51 +366,81 @@ void Redistributor::finish_setup() {
          .value = static_cast<std::int64_t>(resolved_backend_)});
   }
 
-  // 6d. Wave schedule for the collective-sequence backends: assign each
-  // scheduled fused lane (send and recv side) its fence group under the
-  // peak-staging budget. Backend::collective schedules every non-self lane;
-  // Backend::hybrid schedules only the inter-node lanes (its intra lanes
-  // move zero-copy outside the sequence, so they neither stage nor count
-  // against the budget — unscheduled lanes keep wave -1). Derived from the
-  // allgathered layout, so the wave a lane carries matches on its sender
-  // and receiver.
-  coll_send_wave_.assign(mapping_.fused_send.size(), -1);
-  coll_recv_wave_.assign(mapping_.fused_recv.size(), -1);
-  coll_nwaves_ = 1;
-  if (resolved_backend_ == Backend::collective ||
-      resolved_backend_ == Backend::hybrid) {
-    std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
-    for (int r = 0; r < mapping_.nranks; ++r)
-      world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
-    std::vector<CollectiveLane> lanes =
-        resolved_backend_ == Backend::hybrid
-            ? hybrid_inter_lanes(layout_, elem_size_, comm_.network_model(),
-                                 &world_ranks)
-            : collective_lanes(layout_, elem_size_);
-    coll_nwaves_ = assign_collective_waves(lanes, options_.peak_staging_bytes);
-    for (const CollectiveLane& l : lanes) {
-      if (l.sender == mapping_.rank)
-        for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-          if (mapping_.fused_send[i].peer == l.receiver)
-            coll_send_wave_[i] = l.wave;
-      if (l.receiver == mapping_.rank)
-        for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i)
-          if (mapping_.fused_recv[i].peer == l.sender)
-            coll_recv_wave_[i] = l.wave;
+  // 6d. The lane program of the four lane presets (see LaneProgram): which
+  // fused lanes pack and in which wave, which intra-node lanes go zero-copy
+  // and whether a barrier fences each wave. Collective packs its intra lanes
+  // too, since pointer publication does not compose with its budget's
+  // staging accounting. The receiver of a zero-copy lane executes it by
+  // reading the sender's owned buffer through the sender's own lane type,
+  // rebuilt here from the allgathered layout with no extra communication.
+  program_ = LaneProgram{};
+  if (runs_lane_program(resolved_backend_)) {
+    LaneProgram& pg = program_;
+    const bool zero_copy = resolved_backend_ != Backend::collective;
+    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
+      if (fused_send_class_[i] == LaneClass::self)
+        pg.self_send = static_cast<std::ptrdiff_t>(i);
+      else if (fused_send_class_[i] == LaneClass::intra && zero_copy)
+        pg.intra_sends.push_back(i);
+      else
+        pg.sends.push_back({i, 0});
+    }
+    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
+      const PeerLane& l = mapping_.fused_recv[i];
+      const LaneClass cls = classify(l.peer);
+      if (cls == LaneClass::self) {
+        pg.self_recv = static_cast<std::ptrdiff_t>(i);
+      } else if (cls == LaneClass::intra && zero_copy) {
+        PeerLane peer_lane =
+            build_peer_send_lane(layout_, l.peer, mapping_.rank, elem_size_);
+        require(peer_lane.peer == mapping_.rank,
+                "setup: internal error — intra-node recv lane from rank " +
+                    std::to_string(l.peer) + " has no matching send lane");
+        peer_lane.type.precompile();
+        pg.intra_recvs.push_back({l.peer, peer_lane.displ,
+                                  std::move(peer_lane.type), l.displ, l.type,
+                                  l.bytes});
+      } else {
+        pg.recvs.push_back({i, 0});
+      }
+    }
+    if (resolved_backend_ == Backend::collective ||
+        resolved_backend_ == Backend::hybrid) {
+      std::vector<CollectiveLane> lanes =
+          resolved_backend_ == Backend::hybrid
+              ? hybrid_inter_lanes(layout_, elem_size_, comm_.network_model(),
+                                   &world_ranks)
+              : collective_lanes(layout_, elem_size_);
+      pg.waves = assign_collective_waves(lanes, options_.peak_staging_bytes);
+      pg.fenced = true;
+      std::vector<int> wave_to(world_ranks.size(), 0),
+          wave_from(world_ranks.size(), 0);
+      for (const CollectiveLane& l : lanes) {
+        if (l.sender == mapping_.rank)
+          wave_to[static_cast<std::size_t>(l.receiver)] = l.wave;
+        if (l.receiver == mapping_.rank)
+          wave_from[static_cast<std::size_t>(l.sender)] = l.wave;
+      }
+      for (LaneProgram::Packed& s : pg.sends)
+        s.wave = wave_to[static_cast<std::size_t>(
+            mapping_.fused_send[s.lane].peer)];
+      for (LaneProgram::Packed& r : pg.recvs)
+        r.wave = wave_from[static_cast<std::size_t>(
+            mapping_.fused_recv[r.lane].peer)];
     }
   }
 
   // 7. Tag-space budget for the p2p backends (see the tag layout comment
   // above): identical on every rank because the round count derives from the
   // allgathered layout and the resolved backend from global knowledge only.
-  // The fused and collective windows are included in the budget for all p2p
-  // flavours, so neither the fused <-> per-round fallback nor the planner's
-  // choice ever changes whether a layout is accepted.
+  // The lane windows are included in the budget for all p2p flavours, so
+  // neither the lane <-> per-round fallback nor the planner's choice ever
+  // changes whether a layout is accepted.
   if (resolved_backend_ != Backend::alltoallw) {
     const auto nrounds = static_cast<std::int64_t>(mapping_.rounds.size());
     const std::int64_t highest =
         kP2pTagBase +
-        static_cast<std::int64_t>(kP2pEpochWindow) * (5 + 2 * nrounds) - 1;
+        static_cast<std::int64_t>(kP2pEpochWindow) * (4 + 2 * nrounds) - 1;
     require(highest < mpi::tag_upper_bound,
             "setup: point-to-point backend needs " + std::to_string(nrounds) +
                 " rounds, whose highest tag " + std::to_string(highest) +
@@ -455,46 +464,14 @@ void Redistributor::finish_setup() {
       if (rp.sendcounts[q] > 0 && q != self)
         send_bytes.push_back(static_cast<std::size_t>(rp.sendcounts[q]) *
                              rp.sendtypes[q].size());
-  if (resolved_backend_ == Backend::point_to_point_fused ||
-      resolved_backend_ == Backend::point_to_point_pipelined)
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      // Intra-node lanes never pack a payload — they publish an 8-byte
-      // owned-buffer pointer instead (the ack is zero-byte, poolless).
-      switch (fused_send_class_[i]) {
-        case LaneClass::self:
-          break;
-        case LaneClass::intra:
-          send_bytes.push_back(sizeof(std::uintptr_t));
-          break;
-        case LaneClass::inter:
-          send_bytes.push_back(mapping_.fused_send[i].type.size());
-          break;
-      }
-    }
-  if (resolved_backend_ == Backend::collective)
-    // Every non-self lane packs a payload here — intra lanes are sent like
-    // inter ones, since zero-copy pointer publication does not compose with
-    // the wave fences.
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-      if (fused_send_class_[i] != LaneClass::self)
-        send_bytes.push_back(mapping_.fused_send[i].type.size());
-  if (resolved_backend_ == Backend::hybrid)
-    // Per-class prewarm: intra lanes publish an 8-byte pointer, only inter
-    // lanes pack wave payloads. Reserving every inter lane's full payload is
-    // conservative across any wave schedule, so steady-state calls stay
-    // heap-allocation-free under the zero-alloc contract.
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      switch (fused_send_class_[i]) {
-        case LaneClass::self:
-          break;
-        case LaneClass::intra:
-          send_bytes.push_back(sizeof(std::uintptr_t));
-          break;
-        case LaneClass::inter:
-          send_bytes.push_back(mapping_.fused_send[i].type.size());
-          break;
-      }
-    }
+  // The lane program stages every packed send lane's payload (reserved in
+  // full, so any wave schedule stays allocation-free) and an 8-byte
+  // owned-buffer pointer per zero-copy intra lane (the ack is zero-byte,
+  // poolless).
+  for (const LaneProgram::Packed& l : program_.sends)
+    send_bytes.push_back(mapping_.fused_send[l.lane].type.size());
+  send_bytes.insert(send_bytes.end(), program_.intra_sends.size(),
+                    sizeof(std::uintptr_t));
   comm_.reserve_staging(send_bytes);
 
   p2p_epoch_ = 0;
@@ -814,31 +791,20 @@ void Redistributor::redistribute(std::span<const std::byte> owned_data,
   if (resolved_backend_ == Backend::alltoallw) {
     execute_alltoallw(owned_data, needed_data);
   } else if (comm_.fault_injection_active()) {
-    // All p2p flavours degrade to the reliable per-round protocol here —
-    // fused messages cannot be re-requested per (round, peer), which is the
-    // unit the retry protocol operates on, the pipelined executor's
-    // wait_any drain would spin forever on a dropped message, and the
-    // collective sequence's wave fences assume lossless delivery.
+    // All p2p flavours degrade to the reliable per-round protocol here: its
+    // unit of retry is one (round, peer) transfer, which a fused lane cannot
+    // be re-requested as, and the lane program's blocking waits and wave
+    // fences assume lossless delivery.
     execute_p2p_reliable(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::point_to_point_fused) {
-    execute_p2p_fused(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::point_to_point_pipelined) {
-    execute_p2p_pipelined(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::collective) {
-    execute_collective(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::hybrid) {
-    execute_hybrid(owned_data, needed_data);
+  } else if (runs_lane_program(resolved_backend_)) {
+    execute_lanes(owned_data, needed_data);
   } else {
     execute_p2p(owned_data, needed_data);
   }
 }
 
 Backend Redistributor::effective_backend() const {
-  if ((resolved_backend_ == Backend::point_to_point_fused ||
-       resolved_backend_ == Backend::point_to_point_pipelined ||
-       resolved_backend_ == Backend::collective ||
-       resolved_backend_ == Backend::hybrid) &&
-      comm_.fault_injection_active())
+  if (runs_lane_program(resolved_backend_) && comm_.fault_injection_active())
     return Backend::point_to_point;
   return setup_done_ ? resolved_backend_ : options_.backend;
 }
@@ -937,52 +903,6 @@ void Redistributor::execute_p2p(std::span<const std::byte> owned_data,
   reqs_.clear();
 }
 
-void Redistributor::publish_intra(std::span<const std::byte> owned_data,
-                                  int epoch) const {
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int tag = p2p_intra_ptr_tag(nrounds, epoch);
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-    if (fused_send_class_[i] != LaneClass::intra) continue;
-    const PeerLane& l = mapping_.fused_send[i];
-    DDR_TRACE_INSTANT("ddr.intra.publish", {.peer = l.peer, .bytes = l.bytes});
-    const auto ptr = reinterpret_cast<std::uintptr_t>(owned_data.data());
-    comm_.send(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(), l.peer, tag);
-  }
-}
-
-void Redistributor::complete_intra_recvs(std::span<std::byte> needed_data,
-                                         int epoch) const {
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int ptag = p2p_intra_ptr_tag(nrounds, epoch);
-  const int atag = p2p_intra_ack_tag(nrounds, epoch);
-  for (const IntraRecv& ir : intra_recv_) {
-    // The mailbox handoff orders the sender's writes of its owned buffer
-    // before this read (it happens-before the pointer message), and the ack
-    // below orders this copy before anything the sender does after
-    // wait_intra_acks() — that pair is what makes the shared-memory read
-    // race-free.
-    std::uintptr_t ptr = 0;
-    comm_.recv(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(), ir.peer, ptag);
-    {
-      DDR_TRACE_SPAN(cspan, "ddr.intra.copy",
-                     trace::Keys{.peer = ir.peer, .bytes = ir.bytes});
-      mpi::copy_regions(ir.peer_type,
-                        reinterpret_cast<const std::byte*>(ptr) + ir.peer_displ,
-                        1, ir.my_type, needed_data.data() + ir.my_displ, 1);
-    }
-    comm_.send(nullptr, 0, mpi::Datatype::bytes(1), ir.peer, atag);
-  }
-}
-
-void Redistributor::wait_intra_acks(int epoch) const {
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int atag = p2p_intra_ack_tag(nrounds, epoch);
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-    if (fused_send_class_[i] == LaneClass::intra)
-      comm_.recv(nullptr, 0, mpi::Datatype::bytes(1),
-                 mapping_.fused_send[i].peer, atag);
-}
-
 int Redistributor::fused_lane_count(LaneClass cls) const {
   int n = 0;
   for (const LaneClass c : fused_send_class_)
@@ -990,287 +910,119 @@ int Redistributor::fused_lane_count(LaneClass cls) const {
   return n;
 }
 
-void Redistributor::execute_p2p_fused(std::span<const std::byte> owned_data,
-                                      std::span<std::byte> needed_data) const {
-  // One message per INTER-NODE peer: each peer's per-round lanes were
-  // stitched into a single struct type at setup time
-  // (DataMapping::fused_send/fused_recv). Intra-node lanes move zero-copy
-  // through shared memory (publish_intra/complete_intra_recvs); the self
-  // lane moves via copy_regions.
+void Redistributor::execute_lanes(std::span<const std::byte> owned_data,
+                                  std::span<std::byte> needed_data) const {
+  // One message per packed fused lane, moved in fenced or unfenced waves;
+  // intra-node lanes move zero-copy through shared memory and the self lane
+  // via copy_regions (see LaneProgram for the per-preset routing).
+  //
+  // Deadlock freedom: sends and pointer publications are buffered-eager and
+  // never block. Every rank publishes its pointers before its first blocking
+  // receive, and posts all of wave w's sends before it waits on any of wave
+  // w's receives, so every message a rank waits on has already been sent or
+  // will be sent by a rank that is not itself waiting on this one. The
+  // receiver's copy of an intra lane orders before its ack, and the sender
+  // waits for its acks last, so it cannot return (and let the caller
+  // overwrite its owned buffer) while a peer still reads it.
+  const LaneProgram& pg = program_;
   const int nrounds = static_cast<int>(mapping_.rounds.size());
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_fused_tag(nrounds, epoch);
-  reqs_.clear();
-  {
-    DDR_TRACE_SPAN(fspan, "ddr.exchange.fused");
-    // Register interest in every inter lane up front. Fused lanes span every
-    // round: message instants carry round=-1.
-    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-      if (fused_recv_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_recv[i];
+  const int tag = p2p_lane_tag(nrounds, epoch);
+  const int ptr_tag = p2p_intra_ptr_tag(nrounds, epoch);
+  const int ack_tag = p2p_intra_ack_tag(nrounds, epoch);
+  DDR_TRACE_SPAN(espan, "ddr.exchange.lanes", trace::Keys{.value = pg.waves});
+
+  const auto owned_ptr = reinterpret_cast<std::uintptr_t>(owned_data.data());
+  for (const std::size_t i : pg.intra_sends) {
+    const PeerLane& l = mapping_.fused_send[i];
+    DDR_TRACE_INSTANT("ddr.intra.publish", {.peer = l.peer, .bytes = l.bytes});
+    comm_.send(&owned_ptr, 1, mpi::Datatype::of<std::uintptr_t>(), l.peer,
+               ptr_tag);
+  }
+
+  for (int w = 0; w < pg.waves; ++w) {
+    DDR_TRACE_SPAN(wspan, "ddr.wave", trace::Keys{.round = w});
+    // Fused lanes span every round: message instants carry round=-1.
+    reqs_.clear();
+    for (const LaneProgram::Packed& r : pg.recvs) {
+      if (r.wave != w) continue;
+      const PeerLane& l = mapping_.fused_recv[r.lane];
       DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
       reqs_.push_back(comm_.irecv(needed_data.data() + l.displ, 1, l.type,
                                   l.peer, tag));
     }
-    // Publish owned-buffer pointers to intra peers before anything blocks,
-    // so no receiver can wait on a pointer its sender has not yet sent.
-    publish_intra(owned_data, epoch);
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      if (fused_send_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_send[i];
+    for (const LaneProgram::Packed& s : pg.sends) {
+      if (s.wave != w) continue;
+      const PeerLane& l = mapping_.fused_send[s.lane];
       DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-      reqs_.push_back(
-          comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag));
-    }
-    // Self lane: the fused send and recv types cover the same bytes in the
-    // same (round, needed-index) order, so they map onto each other directly.
-    for (const PeerLane& s : mapping_.fused_send) {
-      if (s.peer != mapping_.rank) continue;
-      for (const PeerLane& r : mapping_.fused_recv)
-        if (r.peer == mapping_.rank)
-          mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                            needed_data.data() + r.displ, 1);
-    }
-    // Intra lanes: copy straight out of each same-node sender's owned
-    // buffer, then ack so the sender may return.
-    complete_intra_recvs(needed_data, epoch);
-  }
-  {
-    DDR_TRACE_SPAN(wspan, "ddr.wait_all");
-    mpi::wait_all(reqs_);
-  }
-  wait_intra_acks(epoch);
-  reqs_.clear();
-}
-
-void Redistributor::execute_p2p_pipelined(
-    std::span<const std::byte> owned_data,
-    std::span<std::byte> needed_data) const {
-  // Pipelined exchange over the fused per-peer lanes: the full receive
-  // window — one lane per sending peer, every round stitched in — is posted
-  // BEFORE any byte is packed, sends then stream lane-by-lane through the
-  // staging pool (exactly the concurrent send set setup() prewarmed), and
-  // receives complete out-of-order with wait_any, each lane unpacked the
-  // moment it lands instead of in posting order behind a wait_all fence.
-  // Total latency approaches the max per-peer transfer time; the lock-step
-  // round barrier the paper's alltoallw implies (§III-C) is gone, and a
-  // slow peer no longer blocks unpacking of the lanes that already arrived.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_fused_tag(nrounds, epoch);
-  reqs_.clear();
-  recv_meta_.clear();
-
-  // Phase 1: post the full INTER-NODE receive window (intra lanes complete
-  // zero-copy through shared memory instead — see complete_intra_recvs).
-  // The number of outstanding receives (the pipeline depth) is recorded as
-  // an instant. Fused lanes span every round, so their message instants
-  // carry round=-1.
-  {
-    DDR_TRACE_SPAN(pspan, "ddr.pipeline.post");
-    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-      if (fused_recv_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_recv[i];
-      recv_meta_.push_back({-1, l.peer, l.bytes});
-      reqs_.push_back(
-          comm_.irecv(needed_data.data() + l.displ, 1, l.type, l.peer, tag));
-    }
-    DDR_TRACE_INSTANT("ddr.pipeline.depth",
-                      {.value = static_cast<std::int64_t>(reqs_.size())});
-  }
-  // Owned-buffer pointers go to intra peers before anything blocks, so no
-  // receiver can wait on a pointer its sender has not yet sent.
-  publish_intra(owned_data, epoch);
-  std::size_t nrecv_left = reqs_.size();
-  const std::span<mpi::Request> recvs(reqs_.data(), reqs_.size());
-
-  // Completes every receive that has already landed, without blocking.
-  // wait_any-style completion invalidates the request, so each lane is
-  // counted exactly once; the recv instant is emitted at COMPLETION time,
-  // which is what makes out-of-order arrival visible in the Chrome trace.
-  auto drain_ready = [&] {
-    for (std::size_t i = 0; i < recvs.size() && nrecv_left > 0; ++i) {
-      if (!recvs[i].valid()) continue;
-      if (recvs[i].test()) {
-        --nrecv_left;
-        DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                           .bytes = recv_meta_[i].bytes});
-      }
-    }
-  };
-
-  // Phase 2: stream the sends one lane at a time, in the classic shifted
-  // schedule — rank r packs its successor peer's lane first, wrapping — so
-  // no single rank's mailbox is hammered by every sender at once and the
-  // first receives land while later lanes are still packing. Each pack span
-  // covers one peer's pack + post; between lanes, whatever landed meanwhile
-  // is drained and unpacked — overlap, not a barrier: nothing here waits.
-  const std::vector<PeerLane>& lanes = mapping_.fused_send;
-  std::size_t first = 0;
-  while (first < lanes.size() && lanes[first].peer <= mapping_.rank) ++first;
-  for (std::size_t n = 0; n < lanes.size(); ++n) {
-    const std::size_t idx = (first + n) % lanes.size();
-    if (fused_send_class_[idx] != LaneClass::inter) continue;
-    const PeerLane& l = lanes[idx];
-    {
-      DDR_TRACE_SPAN(kspan, "ddr.pipeline.pack", trace::Keys{.peer = l.peer});
-      DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-      // Sends are buffered-eager: the request is born complete, so only the
-      // receive window in reqs_ ever needs waiting on.
+      // Buffered-eager: the request is born complete, nothing to wait on.
       comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
     }
-    drain_ready();
-  }
-  // Self lane: the fused send and recv types cover the same bytes in the
-  // same (round, needed-index) order, so they map onto each other directly.
-  for (const PeerLane& s : mapping_.fused_send) {
-    if (s.peer != mapping_.rank) continue;
-    for (const PeerLane& r : mapping_.fused_recv)
-      if (r.peer == mapping_.rank)
+
+    if (w == 0) {
+      // The local work overlaps wave 0's messages in flight. The fused send
+      // and recv self lanes cover the same bytes in the same (round,
+      // needed-index) order, so they map onto each other directly.
+      if (pg.self_send >= 0 && pg.self_recv >= 0) {
+        DDR_TRACE_SPAN(sspan, "ddr.self");
+        const PeerLane& s = mapping_.fused_send[static_cast<std::size_t>(
+            pg.self_send)];
+        const PeerLane& r = mapping_.fused_recv[static_cast<std::size_t>(
+            pg.self_recv)];
         mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
                           needed_data.data() + r.displ, 1);
-  }
-  // Intra lanes: copy straight out of each same-node sender's owned buffer,
-  // then ack so the sender may return.
-  complete_intra_recvs(needed_data, epoch);
-
-  // Phase 3: complete the remaining receives strictly in arrival order.
-  // While several are outstanding, wait_any picks whichever lands first;
-  // once a single lane is left there is no order to choose, so it completes
-  // with a blocking wait() — a condition-variable sleep instead of a test()
-  // poll that would contend on the mailbox the sender is delivering into.
-  {
-    DDR_TRACE_SPAN(cspan, "ddr.pipeline.complete");
-    while (nrecv_left > 1) {
-      const auto [i, st] = mpi::wait_any(recvs);
-      --nrecv_left;
-      DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                         .bytes = recv_meta_[i].bytes});
-    }
-    if (nrecv_left == 1)
-      for (std::size_t i = 0; i < recvs.size(); ++i) {
-        if (!recvs[i].valid()) continue;
-        recvs[i].wait();
-        DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                           .bytes = recv_meta_[i].bytes});
-        break;
       }
+      if (!pg.intra_recvs.empty()) {
+        DDR_TRACE_SPAN(ispan, "ddr.intra",
+                       trace::Keys{.value = static_cast<std::int64_t>(
+                                       pg.intra_recvs.size())});
+        for (const IntraRecv& ir : pg.intra_recvs) {
+          // The mailbox handoff orders the sender's writes of its owned
+          // buffer before this read (they happen-before the pointer
+          // message), and the ack orders this copy before the sender
+          // returns: that pair makes the shared-memory read race-free.
+          std::uintptr_t ptr = 0;
+          comm_.recv(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(), ir.peer,
+                     ptr_tag);
+          {
+            DDR_TRACE_SPAN(cspan, "ddr.intra.copy",
+                           trace::Keys{.peer = ir.peer, .bytes = ir.bytes});
+            mpi::copy_regions(
+                ir.peer_type,
+                reinterpret_cast<const std::byte*>(ptr) + ir.peer_displ, 1,
+                ir.my_type, needed_data.data() + ir.my_displ, 1);
+          }
+          comm_.send(nullptr, 0, mpi::Datatype::bytes(1), ir.peer, ack_tag);
+        }
+      }
+    }
+
+    {
+      // Complete in posting order with blocking waits; each wait unpacks
+      // and returns its payload to the staging pool.
+      DDR_TRACE_SPAN(aspan, "ddr.wait_all");
+      std::size_t next = 0;
+      for (const LaneProgram::Packed& r : pg.recvs) {
+        if (r.wave != w) continue;
+        const PeerLane& l = mapping_.fused_recv[r.lane];
+        const mpi::Status st = reqs_[next++].wait();
+        if (st.bytes != static_cast<std::size_t>(l.bytes))
+          throw mpi::Error(mpi::ErrorClass::truncate,
+                           "redistribute: lane from rank " +
+                               std::to_string(l.peer) + " delivered " +
+                               std::to_string(st.bytes) + " bytes, expected " +
+                               std::to_string(l.bytes));
+      }
+    }
+    // The fence proves every wave-w payload is back in the pool before any
+    // wave-(w+1) payload is packed: the peak-staging budget's guarantee.
+    if (pg.fenced) comm_.barrier();
   }
-  wait_intra_acks(epoch);
   reqs_.clear();
-  recv_meta_.clear();
-}
 
-void Redistributor::execute_collective(std::span<const std::byte> owned_data,
-                                       std::span<std::byte> needed_data) const {
-  // Collective-sequence lowering: the fused per-peer lanes run as a fenced
-  // wave sequence (mpi::Comm::sequenced_exchange). Within a wave every lane
-  // is packed, sent, received, unpacked and its staging returned before the
-  // closing barrier, so the pool's live bytes never exceed one wave's total
-  // payload — the peak_staging_bytes budget finish_setup() scheduled the
-  // waves under. Broadcast-shaped exchanges (identical needed layouts)
-  // thereby execute as an allgather sequence, single-source ones as a
-  // scatter sequence (see PlanDecision::shape). Intra-node lanes are packed
-  // and sent like inter lanes: zero-copy pointer publication does not
-  // compose with the wave fences, and bounded staging is the point here.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_coll_tag(nrounds, epoch);
-  DDR_TRACE_SPAN(espan, "ddr.exchange.collective",
-                 trace::Keys{.value = coll_nwaves_});
-  std::vector<mpi::PackedSendLane> sends;
-  std::vector<mpi::PackedRecvLane> recvs;
-  sends.reserve(mapping_.fused_send.size());
-  recvs.reserve(mapping_.fused_recv.size());
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-    const PeerLane& l = mapping_.fused_send[i];
-    if (l.peer == mapping_.rank) continue;
-    DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-    sends.push_back(
-        {l.peer, owned_data.data() + l.displ, &l.type, coll_send_wave_[i]});
-  }
-  for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-    const PeerLane& l = mapping_.fused_recv[i];
-    if (l.peer == mapping_.rank) continue;
-    DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-    recvs.push_back({l.peer, needed_data.data() + l.displ, &l.type,
-                     coll_recv_wave_[i], l.type.size()});
-  }
-  // Self lane: copy_regions, outside the wave sequence (no staging).
-  for (const PeerLane& s : mapping_.fused_send) {
-    if (s.peer != mapping_.rank) continue;
-    for (const PeerLane& r : mapping_.fused_recv)
-      if (r.peer == mapping_.rank)
-        mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                          needed_data.data() + r.displ, 1);
-  }
-  comm_.sequenced_exchange(sends, recvs, coll_nwaves_, tag);
-}
-
-void Redistributor::execute_hybrid(std::span<const std::byte> owned_data,
-                                   std::span<std::byte> needed_data) const {
-  // Hybrid per-peer-class composition: each fused lane runs under the
-  // cheapest lowering its locality admits. The self lane is a direct
-  // copy_regions (no messages, no staging); intra-node lanes ride the fused
-  // path's zero-copy pointer-publication protocol (the receiver copies
-  // straight out of the sender's owned buffer — those bytes never touch the
-  // staging pool, so they don't count against peak_staging_bytes); only the
-  // inter-node lanes are lowered to the fenced collective wave sequence
-  // finish_setup() scheduled under the budget (coll_*_wave_ holds -1 for
-  // non-inter lanes; coll_nwaves_ covers the inter set alone).
-  //
-  // Deadlock freedom: pointer publication is buffered-eager (a uintptr_t
-  // send never blocks), so every rank publishes before anyone blocks in
-  // complete_intra_recvs; the intra copies complete before the wave
-  // sequence's first barrier, and the acks are drained after the sequence —
-  // the sender's owned buffer is stable for the whole exchange (it is const
-  // here), so deferring the acks past the fences is safe and keeps the
-  // intra protocol entirely outside the wave synchronization.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_coll_tag(nrounds, epoch);
-  DDR_TRACE_SPAN(espan, "ddr.exchange.hybrid",
-                 trace::Keys{.value = coll_nwaves_});
-  publish_intra(owned_data, epoch);
-  {
-    DDR_TRACE_SPAN(sspan, "ddr.hybrid.self", trace::Keys{.peer = mapping_.rank});
-    for (const PeerLane& s : mapping_.fused_send) {
-      if (s.peer != mapping_.rank) continue;
-      for (const PeerLane& r : mapping_.fused_recv)
-        if (r.peer == mapping_.rank)
-          mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                            needed_data.data() + r.displ, 1);
-    }
-  }
-  {
-    DDR_TRACE_SPAN(ispan, "ddr.hybrid.intra",
-                   trace::Keys{.value = fused_lane_count(LaneClass::intra)});
-    complete_intra_recvs(needed_data, epoch);
-  }
-  {
-    DDR_TRACE_SPAN(xspan, "ddr.hybrid.inter",
-                   trace::Keys{.value = coll_nwaves_});
-    std::vector<mpi::PackedSendLane> sends;
-    std::vector<mpi::PackedRecvLane> recvs;
-    sends.reserve(mapping_.fused_send.size());
-    recvs.reserve(mapping_.fused_recv.size());
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      if (fused_send_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_send[i];
-      DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-      sends.push_back(
-          {l.peer, owned_data.data() + l.displ, &l.type, coll_send_wave_[i]});
-    }
-    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-      if (fused_recv_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_recv[i];
-      DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-      recvs.push_back({l.peer, needed_data.data() + l.displ, &l.type,
-                       coll_recv_wave_[i], l.type.size()});
-    }
-    comm_.sequenced_exchange(sends, recvs, coll_nwaves_, tag);
-  }
-  wait_intra_acks(epoch);
+  for (const std::size_t i : pg.intra_sends)
+    comm_.recv(nullptr, 0, mpi::Datatype::bytes(1),
+               mapping_.fused_send[i].peer, ack_tag);
 }
 
 void Redistributor::execute_p2p_reliable(

@@ -267,6 +267,9 @@ img::RgbImage decode(std::span<const std::byte> file) {
             // Decode one block.
             std::array<int, 64> zz{};
             const int dc_cat = decode_symbol(br, dct_dc);
+            // T.81 baseline DC differences have categories 0..11; a larger
+            // one would shift past the int width in bits()/extend().
+            if (dc_cat > 11) throw Error("jpeg: DC difference category above 11");
             const int diff = extend(br.bits(dc_cat), dc_cat);
             c.dc_pred += diff;
             zz[0] = c.dc_pred;

@@ -106,27 +106,6 @@ struct StagingStats {
   std::uint64_t peak_live_bytes = 0;
 };
 
-/// One send lane of Comm::sequenced_exchange: `1` element of `*type` at
-/// `base`, packed into one staging payload and sent to `peer` during fence
-/// group `wave`.
-struct PackedSendLane {
-  int peer = -1;
-  const void* base = nullptr;
-  const Datatype* type = nullptr;
-  int wave = 0;
-};
-
-/// One receive lane of Comm::sequenced_exchange: one packed payload of
-/// exactly `bytes` from `peer`, unpacked as `1` element of `*type` at `base`
-/// during fence group `wave`.
-struct PackedRecvLane {
-  int peer = -1;
-  void* base = nullptr;
-  const Datatype* type = nullptr;
-  int wave = 0;
-  std::size_t bytes = 0;
-};
-
 /// Waits for every request; returns their statuses in order.
 std::vector<Status> wait_all(std::span<Request> reqs);
 
@@ -260,25 +239,6 @@ class Comm {
   [[nodiscard]] Comm split(int color, int key) const;
 
   [[nodiscard]] Comm dup() const;
-
-  /// Collective. Executes a whole packed exchange as a sequence of fenced
-  /// waves — each lane packed into a staging buffer, sent eagerly, received
-  /// and unpacked, then a barrier — the memory-efficient lowering DDR's
-  /// Backend::collective uses. Lanes carry a `wave` index in [0, nwaves);
-  /// wave w packs and posts every send lane of that wave, then drains and
-  /// unpacks every receive lane of that wave, then fences the communicator
-  /// with a barrier. The fence proves every wave-w payload has been released
-  /// before any wave-(w+1) payload is packed, so the staging pool's live
-  /// bytes never exceed the largest single wave (plus whatever the caller
-  /// already holds) regardless of the exchange's total volume.
-  ///
-  /// Wave assignment must be identical on every rank (it is derived from
-  /// globally shared knowledge in DDR) and a lane's wave must match on its
-  /// sender and receiver. Throws ErrorClass::truncate-flavoured Error when a
-  /// received payload's size differs from the lane's declared bytes.
-  void sequenced_exchange(std::span<const PackedSendLane> sends,
-                          std::span<const PackedRecvLane> recvs, int nwaves,
-                          int tag) const;
 
   // --- topology -------------------------------------------------------------
 

@@ -309,17 +309,13 @@ void charge_recv(const CommImpl& impl, int my_rank, const Message& msg) {
   }
 }
 
-/// Shared blocking-receive implementation (used by Comm::recv and
-/// Request::wait).
-Status do_recv(const CommImpl& impl, int my_rank, void* buf, std::size_t count,
-               const Datatype& type, int src, int tag, bool collective) {
-  Mailbox& box = collective ? *impl.coll_box[static_cast<std::size_t>(my_rank)]
-                            : *impl.user_box[static_cast<std::size_t>(my_rank)];
-  const int my_world = impl.group[static_cast<std::size_t>(my_rank)];
-  fault_checkpoint(*impl.world, my_world);
-  Message msg = take(box, *impl.world, my_world, src, tag);
+/// Completes a matched receive: charges the receiver clock, checks that the
+/// payload is a whole number of receive-type elements that fits the buffer,
+/// unpacks it and returns the payload to the staging pool. Every receive path
+/// (Comm::recv, Request::wait, Request::test) completes through here.
+Status complete_recv(const CommImpl& impl, int my_rank, Message msg, void* buf,
+                     std::size_t count, const Datatype& type) {
   charge_recv(impl, my_rank, msg);
-
   const std::size_t capacity = count * type.size();
   require(msg.payload.size() <= capacity, ErrorClass::truncate,
           "recv: message (" + std::to_string(msg.payload.size()) +
@@ -338,6 +334,18 @@ Status do_recv(const CommImpl& impl, int my_rank, void* buf, std::size_t count,
   const Status st{msg.src, msg.tag, msg.payload.size()};
   impl.staging.release(std::move(msg.payload));
   return st;
+}
+
+/// Shared blocking-receive implementation (used by Comm::recv and
+/// Request::wait).
+Status do_recv(const CommImpl& impl, int my_rank, void* buf, std::size_t count,
+               const Datatype& type, int src, int tag, bool collective) {
+  Mailbox& box = collective ? *impl.coll_box[static_cast<std::size_t>(my_rank)]
+                            : *impl.user_box[static_cast<std::size_t>(my_rank)];
+  const int my_world = impl.group[static_cast<std::size_t>(my_rank)];
+  fault_checkpoint(*impl.world, my_world);
+  return complete_recv(impl, my_rank, take(box, *impl.world, my_world, src, tag),
+                       buf, count, type);
 }
 
 std::vector<std::byte> pack_elements(const CommImpl& impl, const void* buf,
@@ -510,17 +518,7 @@ std::optional<Status> Request::test() {
     if (impl_->world->aborted.load(std::memory_order_acquire)) throw_aborted();
     return std::nullopt;
   }
-  // Re-inject and complete through the common path so truncation checks and
-  // clock charging stay in one place.
-  charge_recv(*impl_, rank_, *msg);
-  const std::size_t capacity = count_ * type_.size();
-  require(msg->payload.size() <= capacity, ErrorClass::truncate,
-          "test: message larger than receive buffer");
-  if (type_.size() > 0 && !msg->payload.empty())
-    type_.unpack(msg->payload.data(), msg->payload.size() / type_.size(),
-                 static_cast<std::byte*>(buf_));
-  Status s{msg->src, msg->tag, msg->payload.size()};
-  impl_->staging.release(std::move(msg->payload));
+  Status s = complete_recv(*impl_, rank_, std::move(*msg), buf_, count_, type_);
   kind_ = Kind::invalid;
   return s;
 }
@@ -1499,53 +1497,6 @@ const NetworkModel* Comm::network_model() const {
   require(valid(), ErrorClass::invalid_comm,
           "network_model: invalid communicator");
   return impl_->world->network;
-}
-
-void Comm::sequenced_exchange(std::span<const PackedSendLane> sends,
-                              std::span<const PackedRecvLane> recvs,
-                              int nwaves, int tag) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "sequenced_exchange: invalid communicator");
-  require(nwaves >= 1, ErrorClass::invalid_argument,
-          "sequenced_exchange: need at least one wave");
-  require(tag >= 0 && tag < tag_upper_bound, ErrorClass::invalid_tag,
-          "sequenced_exchange: tag must be in [0, tag_upper_bound)");
-  Mailbox& box = *impl_->user_box[static_cast<std::size_t>(rank_)];
-  const int my_world = impl_->group[static_cast<std::size_t>(rank_)];
-  for (int w = 0; w < nwaves; ++w) {
-    DDR_TRACE_SPAN(wspan, "mpi.seq.wave", trace::Keys{.round = w});
-    // Post every send of this wave first (buffered-eager, never blocks),
-    // then drain the wave's receives: every peer's sends are already in
-    // flight by the time anyone blocks, so draining in input order cannot
-    // deadlock. Each payload is released the moment it is unpacked — the
-    // barrier below then proves the whole wave's staging is back in the pool
-    // before the next wave packs a byte.
-    for (const PackedSendLane& l : sends) {
-      if (l.wave != w) continue;
-      check_rank(*impl_, l.peer, "sequenced_exchange");
-      send_packed(*impl_, rank_, pack_elements(*impl_, l.base, 1, *l.type),
-                  l.peer, tag, /*collective=*/false);
-    }
-    for (const PackedRecvLane& l : recvs) {
-      if (l.wave != w) continue;
-      check_rank(*impl_, l.peer, "sequenced_exchange");
-      fault_checkpoint(*impl_->world, my_world);
-      Message msg = take(box, *impl_->world, my_world, l.peer, tag);
-      charge_recv(*impl_, rank_, msg);
-      if (msg.payload.size() != l.bytes) {
-        const std::size_t got = msg.payload.size();
-        impl_->staging.release(std::move(msg.payload));
-        require(false, ErrorClass::truncate,
-                "sequenced_exchange: lane from rank " +
-                    std::to_string(l.peer) + " delivered " +
-                    std::to_string(got) + " bytes, expected " +
-                    std::to_string(l.bytes));
-      }
-      l.type->unpack(msg.payload.data(), 1, static_cast<std::byte*>(l.base));
-      impl_->staging.release(std::move(msg.payload));
-    }
-    barrier();
-  }
 }
 
 bool Comm::same_node(int rank_in_comm) const {

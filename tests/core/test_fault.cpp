@@ -170,12 +170,11 @@ TEST(FaultTolerance, FusedP2pStaysFusedWithoutFaultModel) {
 }
 
 TEST(FaultTolerance, PipelinedP2pIsGatedOffUnderActiveFaultModel) {
-  // The pipelined executor's wait_any drain would spin forever on a dropped
+  // The lane program's blocking waits would hang forever on a dropped
   // message (nothing ever completes the orphaned receive), so under an
   // active FaultModel it must degrade to the reliable per-round path — and
   // still deliver the oracle bytes through it. Delay injection reorders
-  // messages between rounds, which the up-front receive window must also
-  // survive via the fallback.
+  // messages between rounds, which the fallback must also survive.
   simnet::RandomFaultParams p;
   p.drop_rate = 0.10;
   p.delay_rate = 0.30;

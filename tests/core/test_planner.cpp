@@ -31,7 +31,7 @@ using ddr_test::random_subbox;
 
 // The JSON bench's strided3d case: 4 ranks, 64^3 floats, 8 interleaved
 // z-slabs per rank, gathered into 2x2x1 bricks — 96 plain messages vs 12
-// fused 64 KB lanes. Measured: pipelined < fused < p2p.
+// fused 64 KB lanes. Measured: fused (== pipelined) < p2p.
 ddr::GlobalLayout strided3d_layout() {
   const int side = 64, nranks = 4, slabs = 8;
   ddr::GlobalLayout layout;

@@ -101,6 +101,40 @@ TEST(P2P, TruncationThrows) {
       mpi::Error);
 }
 
+TEST(P2P, PartialElementThrowsThroughTestAsThroughWait) {
+  // 12 bytes into a receive of 2 x 8-byte elements is not a whole number of
+  // elements: wait() and test() must both reject it, not unpack one element
+  // and drop the remaining 4 bytes.
+  mpi::run(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      const std::vector<std::byte> data(12, std::byte{7});
+      comm.send(data.data(), data.size(), Datatype::bytes(1), 1, 0);
+      comm.send(data.data(), data.size(), Datatype::bytes(1), 1, 1);
+    } else {
+      const Datatype d = Datatype::of<double>();
+      std::vector<double> buf(2, 0.0);
+      auto error_class = [](auto&& complete) {
+        try {
+          complete();
+        } catch (const mpi::Error& e) {
+          return e.error_class();
+        }
+        return mpi::ErrorClass::internal;
+      };
+      mpi::Request by_wait = comm.irecv(buf.data(), 2, d, 0, 0);
+      EXPECT_EQ(error_class([&] { by_wait.wait(); }),
+                mpi::ErrorClass::truncate);
+      mpi::Request by_test = comm.irecv(buf.data(), 2, d, 0, 1);
+      EXPECT_EQ(error_class([&] {
+                  while (!by_test.test()) {
+                  }
+                }),
+                mpi::ErrorClass::truncate);
+      EXPECT_EQ(buf[0], 0.0) << "a rejected message must not be unpacked";
+    }
+  });
+}
+
 TEST(P2P, ReceiveFewerElementsThanCapacityIsFine) {
   mpi::run(2, [](Comm& comm) {
     const Datatype i = Datatype::of<int>();

@@ -40,7 +40,7 @@ struct TracedRun {
 /// redistribute() call. Precondition agreement is off: its allreduce uses
 /// comm-wide collectives whose event count depends only on rank count, but
 /// the golden strings are simpler without it.
-TracedRun run_e1(ddr::Backend backend) {
+TracedRun run_e1(ddr::Backend backend, std::size_t budget = 0) {
   TracedRun out;
   std::vector<trace::Recorder> recs;
   recs.reserve(kRanks);
@@ -54,6 +54,7 @@ TracedRun run_e1(ddr::Backend backend) {
     ddr::SetupOptions opt;
     opt.backend = backend;
     opt.collective_error_agreement = false;
+    opt.peak_staging_bytes = budget;
     rd.setup(e1_owned(r), e1_needed(r), opt);
     recs[static_cast<std::size_t>(r)].clear();
     if (r == 0) rounds = rd.rounds();
@@ -119,8 +120,8 @@ ddr::Chunk strided3d_needed(int rank) {
                         (rank / 2) * kSide / 2, 0);
 }
 
-/// Like run_e1 but on the strided3d layout (the pipelined backend's bench
-/// case, 8 rounds deep).
+/// Like run_e1 but on the strided3d layout (the bench case the planner
+/// resolves to the lane program, 8 rounds deep).
 TracedRun run_strided3d(ddr::Backend backend) {
   TracedRun out;
   std::vector<trace::Recorder> recs;
@@ -155,12 +156,34 @@ TracedRun run_strided3d(ddr::Backend backend) {
   return out;
 }
 
-/// The recorded pipeline depth: value of the ddr.pipeline.depth instant
-/// (number of receives posted up front), or -1 when absent.
-std::int64_t recorded_depth(const std::vector<trace::Event>& ev) {
-  for (const trace::Event& e : ev)
-    if (std::string(e.name) == "ddr.pipeline.depth") return e.keys.value;
-  return -1;
+/// Checks the span skeleton of one lane-program run: one ddr.exchange.lanes
+/// span whose value is the wave count, one ddr.wave and one ddr.wait_all per
+/// wave, no ddr.round spans (the lanes stitch every round), and message
+/// instants with round=-1 (the lane spans every round).
+void check_lane_program(const TracedRun& run, int waves) {
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& ev = run.events[static_cast<std::size_t>(r)];
+    int lanes_spans = 0;
+    for (const trace::Event& e : ev) {
+      const std::string name = e.name;
+      if (name == "ddr.exchange.lanes" && e.phase == trace::Phase::begin) {
+        ++lanes_spans;
+        EXPECT_EQ(e.keys.value, waves) << "rank " << r;
+      }
+      if (name == "ddr.msg.send" || name == "ddr.msg.recv") {
+        EXPECT_EQ(e.keys.round, -1) << "rank " << r;
+      }
+    }
+    EXPECT_EQ(lanes_spans, 1) << "rank " << r;
+    EXPECT_EQ(trace::count_events(ev, "ddr.wave", trace::Phase::begin),
+              static_cast<std::size_t>(waves))
+        << "rank " << r;
+    EXPECT_EQ(trace::count_events(ev, "ddr.wait_all", trace::Phase::begin),
+              static_cast<std::size_t>(waves))
+        << "rank " << r;
+    EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 0u)
+        << "rank " << r;
+  }
 }
 
 }  // namespace
@@ -195,18 +218,14 @@ TEST(TraceGolden, P2pRoundSpansMatchSchedule) {
 
 TEST(TraceGolden, FusedEmitsOnePerPeerLane) {
   const TracedRun run = run_e1(ddr::Backend::point_to_point_fused);
+  check_lane_program(run, 1);
   for (int r = 0; r < kRanks; ++r) {
     const auto& ev = run.events[static_cast<std::size_t>(r)];
-    EXPECT_EQ(
-        trace::count_events(ev, "ddr.exchange.fused", trace::Phase::begin),
-        1u);
-    EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 0u);
-    // Fused message instants carry no round (the lane spans every round).
-    for (const trace::Event& e : ev)
-      if (std::string(e.name) == "ddr.msg.send" ||
-          std::string(e.name) == "ddr.msg.recv") {
-        EXPECT_EQ(e.keys.round, -1);
-      }
+    // One message per peer lane each way: 3 peers.
+    EXPECT_EQ(trace::count_events(ev, "ddr.msg.send", trace::Phase::instant),
+              3u);
+    EXPECT_EQ(trace::count_events(ev, "ddr.msg.recv", trace::Phase::instant),
+              3u);
   }
   check_e1_bytes(run);
 }
@@ -214,9 +233,18 @@ TEST(TraceGolden, FusedEmitsOnePerPeerLane) {
 TEST(TraceGolden, StructureDeterministicAcrossRuns) {
   for (const ddr::Backend b :
        {ddr::Backend::alltoallw, ddr::Backend::point_to_point,
-        ddr::Backend::point_to_point_fused}) {
-    const TracedRun a = run_e1(b);
-    const TracedRun c = run_e1(b);
+        ddr::Backend::point_to_point_fused,
+        ddr::Backend::point_to_point_pipelined, ddr::Backend::collective}) {
+    // E1's lanes are 16 B each, so a 64 B budget splits the collective
+    // preset's 12 lanes into several fenced waves.
+    const std::size_t budget = b == ddr::Backend::collective ? 64 : 0;
+    const TracedRun a = run_e1(b, budget);
+    const TracedRun c = run_e1(b, budget);
+    if (b == ddr::Backend::collective) {
+      EXPECT_GE(trace::count_events(a.events[0], "ddr.wave",
+                                    trace::Phase::begin),
+                2u);
+    }
     for (int r = 0; r < kRanks; ++r)
       EXPECT_EQ(a.structure[static_cast<std::size_t>(r)],
                 c.structure[static_cast<std::size_t>(r)])
@@ -254,44 +282,44 @@ TEST(TraceGolden, AlltoallwRank0ExactStructure) {
   EXPECT_EQ(run.structure[0], expected);
 }
 
-TEST(TraceGolden, PipelinedPostsWindowThenCompletesOutOfOrder) {
+TEST(TraceGolden, PipelinedRunsFusedLaneProgram) {
+  // Pipelined and fused are presets of one lane program: same spans, same
+  // posting order (every receive of the wave, then every send, then the
+  // self lane), character for character on every rank.
   const TracedRun run = run_e1(ddr::Backend::point_to_point_pipelined);
+  const TracedRun fused = run_e1(ddr::Backend::point_to_point_fused);
   EXPECT_EQ(run.rounds, 2);
+  check_lane_program(run, 1);
   for (int r = 0; r < kRanks; ++r) {
-    const auto& ev = run.events[static_cast<std::size_t>(r)];
-    // One posting window, one pack span per peer lane, one completion
-    // drain — and no ddr.round spans: the lanes stitch every round.
-    EXPECT_EQ(trace::count_events(ev, "ddr.pipeline.post", trace::Phase::begin),
+    const auto ri = static_cast<std::size_t>(r);
+    EXPECT_EQ(run.structure[ri], fused.structure[ri]) << "rank " << r;
+    EXPECT_EQ(trace::count_events(run.events[ri], "ddr.self",
+                                  trace::Phase::begin),
               1u);
-    EXPECT_EQ(trace::count_events(ev, "ddr.pipeline.pack", trace::Phase::begin),
-              3u);
-    EXPECT_EQ(
-        trace::count_events(ev, "ddr.pipeline.complete", trace::Phase::begin),
-        1u);
-    EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 0u);
-    // E1: 3 peers -> a window of 3 per-peer lane receives.
-    EXPECT_EQ(recorded_depth(ev), 3);
   }
-  // Byte accounting is completion-order independent.
+  const std::string expected_prefix =
+      "ddr.redistribute\n"
+      "  ddr.exchange.lanes\n"
+      "    ddr.wave [round=0]\n"
+      "      - ddr.msg.recv [peer=1,bytes=16]\n"
+      "      - ddr.msg.recv [peer=2,bytes=16]\n"
+      "      - ddr.msg.recv [peer=3,bytes=16]\n"
+      "      - ddr.msg.send [peer=1,bytes=16]\n";
+  EXPECT_EQ(run.structure[0].substr(0, expected_prefix.size()),
+            expected_prefix);
   check_e1_bytes(run);
 }
 
-TEST(TraceGolden, PipelinedStrided3dConservesBytesOutOfOrder) {
-  // Deliberately NOT an exact-structure pin: receive completion order under
-  // the pipelined backend depends on thread scheduling. What must hold on
-  // every run is the window shape and pairwise byte conservation.
+TEST(TraceGolden, PipelinedStrided3dConservesBytes) {
+  // Pairwise byte conservation on the 8-round strided3d layout, where each
+  // peer's 8 rounds fuse into one lane.
   const TracedRun run = run_strided3d(ddr::Backend::point_to_point_pipelined);
   EXPECT_EQ(run.rounds, 8);
+  check_lane_program(run, 1);
   std::vector<std::map<std::int64_t, std::int64_t>> sent(kRanks),
       recvd(kRanks);
   for (int r = 0; r < kRanks; ++r) {
     const auto& ev = run.events[static_cast<std::size_t>(r)];
-    EXPECT_EQ(trace::count_events(ev, "ddr.pipeline.post", trace::Phase::begin),
-              1u);
-    EXPECT_EQ(trace::count_events(ev, "ddr.pipeline.pack", trace::Phase::begin),
-              3u);
-    // 3 peers, each peer's 8 rounds fused into one lane.
-    EXPECT_EQ(recorded_depth(ev), 3);
     EXPECT_EQ(trace::count_events(ev, "ddr.msg.send", trace::Phase::instant),
               3u);
     EXPECT_EQ(trace::count_events(ev, "ddr.msg.recv", trace::Phase::instant),

@@ -17,7 +17,7 @@
 //                 message counts, payload bytes, compiled plan segment and
 //                 run-compressed quad totals for the plain per-round p2p
 //                 backend and the fused per-peer backend side by side, plus
-//                 the pipelined backend's per-rank receive-window depth,
+//                 the lane program's per-rank receive-window depth,
 //                 each fused lane's locality class (self/intra/inter), and
 //                 the planner's per-candidate self/intra/inter byte split
 //                 (the same ddr::Planner numbers --plan decides from, so
@@ -270,8 +270,9 @@ int run_validate(const ddr::LayoutSpec& spec) {
 /// copied per call — see Datatype::plan_segment_count), and total
 /// run-compressed plan quads (descriptors stored == copy-train kernel calls
 /// per call — see Datatype::plan_quad_count). The trailing column is the
-/// pipelined backend's receive-window depth: how many per-peer lane receives
-/// it posts up front (every round stitched per peer) before any data moves.
+/// lane program's receive-window depth: how many per-peer lane receives the
+/// fused and pipelined presets post up front (every round stitched per
+/// peer) before any data moves.
 /// After the table, each fused lane's locality class under a
 /// `ranks_per_node`-blocked topology.
 int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
@@ -290,7 +291,7 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
   std::printf("\nper-rank send cost (one redistribute() call):\n");
   std::printf("  %-5s | %-35s | %-35s | %s\n", "",
               "plain p2p (per round x peer)", "fused p2p (one msg per peer)",
-              "pipelined");
+              "lanes");
   std::printf("  %-5s | %8s %10s %8s %6s | %8s %10s %8s %6s | %6s\n", "rank",
               "msgs", "bytes", "segs", "quads", "msgs", "bytes", "segs",
               "quads", "depth");
@@ -313,8 +314,8 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
             n * static_cast<std::int64_t>(rp.sendtypes[q].plan_quad_count());
       }
     }
-    // Pipelined receive window: one fused lane per peer this rank receives
-    // from (the same lanes the fused backend drains behind wait_all).
+    // Lane program receive window: one fused lane per peer this rank
+    // receives from, all posted before the first send.
     for (const ddr::PeerLane& lane : m.fused_recv)
       if (lane.peer != r) ++depth;
     for (const ddr::PeerLane& lane : m.fused_send) {
@@ -362,7 +363,7 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
   std::printf("\nsegment totals count contiguous runs copied per pack "
               "(plan_segment_count); quad totals count run-compressed "
               "descriptors stored == copy-train kernel calls "
-              "(plan_quad_count); depth is the pipelined backend's up-front "
+              "(plan_quad_count); depth is the lane program's up-front "
               "receive window; self lanes move zero-copy (no message) on all "
               "backends.\n");
 
