@@ -58,7 +58,10 @@
 // steady-state staging-pool heap-allocation count. The process exits
 // non-zero if any steady-state redistribute() performed a staging heap
 // allocation — CI runs this binary as the zero-allocation gate of the data
-// path.
+// path — or if, after each config's 21 setup() calls on one communicator,
+// the staging pool retains more than twice the reserved working set (the
+// re-setup retention gate: re-planning must replace a reservation, not
+// add to the pool).
 //
 // Environment: DDR_BENCH_REPS  (timed calls per config, default 60),
 //              DDR_BENCH_OUT   (output path, default BENCH_redistribute.json),
@@ -86,6 +89,9 @@
 namespace {
 
 constexpr int kWarmup = 5;
+/// Extra setup() calls each config makes on its Redistributor before the
+/// warm-up: a re-planned Redistributor must not grow the staging pool.
+constexpr int kResetups = 20;
 
 struct CaseSetup {
   std::string name;
@@ -191,6 +197,10 @@ struct ConfigResult {
   double messages_per_call = 0.0;
   std::uint64_t staging_heap_allocs_steady = 0;
   std::uint64_t staging_acquires_steady = 0;
+  /// Pool free-list bytes after the kResetups re-setups and the timed
+  /// window, and the live reservations' total (the working set).
+  std::uint64_t staging_retained_bytes = 0;
+  std::uint64_t staging_reserved_bytes = 0;
   // One traced redistribute() call, run after the timed window (all ranks
   // summed). With tracing compiled out (DDR_TRACE=OFF) all zeros/true.
   std::uint64_t trace_events = 0;
@@ -263,7 +273,8 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
     opts.backend = backend;
     // Measure only the data path, not the precondition allreduce.
     opts.collective_error_agreement = false;
-    rd.setup(cs.owned(r), cs.needed(r), opts);
+    for (int i = 0; i <= kResetups; ++i)
+      rd.setup(cs.owned(r), cs.needed(r), opts);
     if (r == 0) {
       out_case.rounds = rd.rounds();
       out_case.network_bytes_per_call = rd.stats().network_bytes;
@@ -310,6 +321,8 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
       msgs_delta = total > barrier_msgs ? total - barrier_msgs : 0;
       allocs_delta = s1.heap_allocations - s0.heap_allocations;
       acquires_delta = s1.acquires - s0.acquires;
+      res.staging_retained_bytes = s1.retained_bytes;
+      res.staging_reserved_bytes = s1.reserved_bytes;
     }
     // Fence so the steady-state counter snapshot above cannot see the traced
     // call's staging traffic, then run one traced call for the JSON "trace"
@@ -344,10 +357,12 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
   }
 
   std::printf("%-10s %-20s median %8.3f ms  p95 %8.3f ms  msgs/call %7.1f  "
-              "steady heap allocs %llu\n",
+              "steady heap allocs %llu  retained %llu / reserved %llu B\n",
               cs.name.c_str(), cfg_name.c_str(), res.median_ms, res.p95_ms,
               res.messages_per_call,
-              static_cast<unsigned long long>(res.staging_heap_allocs_steady));
+              static_cast<unsigned long long>(res.staging_heap_allocs_steady),
+              static_cast<unsigned long long>(res.staging_retained_bytes),
+              static_cast<unsigned long long>(res.staging_reserved_bytes));
   return res;
 }
 
@@ -1026,12 +1041,16 @@ void write_json(const std::string& path, int reps,
                    "\"p95_ms\": %.6f, \"messages_per_call\": %.2f, "
                    "\"staging_acquires_steady\": %llu, "
                    "\"staging_heap_allocs_steady\": %llu, "
+                   "\"staging_retained_bytes\": %llu, "
+                   "\"staging_reserved_bytes\": %llu, "
                    "\"trace\": {\"events\": %llu, \"data_msgs\": %llu, "
                    "\"send_bytes\": %lld, \"spans_balanced\": %s}}%s\n",
                    cf.p95_ms, cf.messages_per_call,
                    static_cast<unsigned long long>(cf.staging_acquires_steady),
                    static_cast<unsigned long long>(
                        cf.staging_heap_allocs_steady),
+                   static_cast<unsigned long long>(cf.staging_retained_bytes),
+                   static_cast<unsigned long long>(cf.staging_reserved_bytes),
                    static_cast<unsigned long long>(cf.trace_events),
                    static_cast<unsigned long long>(cf.trace_data_msgs),
                    static_cast<long long>(cf.trace_send_bytes),
@@ -1159,6 +1178,7 @@ int main() {
 
   std::vector<CaseResult> results;
   bool alloc_clean = true;
+  bool retention_bounded = true;
   bool planner_competitive = true;
   bool accounting_exact = true;
   for (const CaseSetup& cs : cases_setup) {
@@ -1188,8 +1208,20 @@ int main() {
                                     reps, cr));
     cr.configs.push_back(run_config(cs, "automatic", true,
                                     ddr::Backend::automatic, reps, cr));
-    for (const ConfigResult& cf : cr.configs)
+    for (const ConfigResult& cf : cr.configs) {
       if (cf.staging_heap_allocs_steady != 0) alloc_clean = false;
+      if (cf.staging_retained_bytes > 2 * cf.staging_reserved_bytes) {
+        retention_bounded = false;
+        std::fprintf(stderr,
+                     "%s %s: staging pool retains %llu B after %d "
+                     "re-setups, over 2x the reserved %llu B\n",
+                     cs.name.c_str(), cf.name.c_str(),
+                     static_cast<unsigned long long>(cf.staging_retained_bytes),
+                     kResetups,
+                     static_cast<unsigned long long>(
+                         cf.staging_reserved_bytes));
+      }
+    }
 
     // Workload-accounting exit gate: the closed-form accounting, the
     // mapping machinery's MappingStats and the traced bytes of one call
@@ -1314,6 +1346,13 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: steady-state redistribute() allocated staging "
                  "buffers on the heap (see staging_heap_allocs_steady)\n");
+    return 1;
+  }
+
+  if (!retention_bounded) {
+    std::fprintf(stderr,
+                 "FAIL: re-running setup() grew the staging pool past 2x "
+                 "the reserved working set (see staging_retained_bytes)\n");
     return 1;
   }
 

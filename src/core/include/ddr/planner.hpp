@@ -184,8 +184,9 @@ struct PlanDecision {
   /// readers of the field (the perfbench pencil_fft and rebalance workloads)
   /// still compile and report it.
   int pack_threads = 0;
-  /// Staging bytes setup() prewarms for the chosen backend (the predicted
-  /// peak concurrent payload set).
+  /// Predicted staging bytes setup() reserves for the chosen backend (the
+  /// peak concurrent payload set); reported only, the reservation itself
+  /// is sized from the mapping.
   std::size_t staging_prewarm_bytes = 0;
   /// Predicted pool-wide peak staging of the chosen backend.
   std::size_t predicted_peak_staging = 0;

@@ -146,7 +146,9 @@ struct SetupOptions {
 /// Per-rank redistribution engine.
 ///
 /// Thread-compatible: one Redistributor per rank thread; redistribute() is
-/// collective over the communicator given at construction.
+/// collective over the communicator given at construction. Move-only: it
+/// holds a staging reservation (mpi::StagingReservation), which a copy
+/// could only share, leaving two executors covered by one send set.
 class Redistributor {
  public:
   /// \param comm       communicator spanning all participating ranks
@@ -368,6 +370,11 @@ class Redistributor {
   /// Request scratch reused across redistribute() calls so the steady-state
   /// p2p data path performs no heap allocation.
   mutable std::vector<mpi::Request> reqs_;
+  /// This Redistributor's entry in comm_'s staging ledger: finish_setup()
+  /// replaces it with the current plan's send set, and it is dropped with
+  /// the mapping (destruction, a communicator change) so a re-planned or
+  /// destroyed Redistributor no longer holds the pool to its old sizes.
+  mpi::StagingReservation staging_;
   /// Locality class per fused send lane, parallel to mapping_.fused_send
   /// (computed at setup from mpi::Comm::same_node).
   std::vector<LaneClass> fused_send_class_;

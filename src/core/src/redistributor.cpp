@@ -449,30 +449,35 @@ void Redistributor::finish_setup() {
                 ") — use the alltoallw backend for this layout");
   }
 
-  // 8. Prewarm the staging pool with this rank's peak concurrent send set:
-  // every per-round (or per-peer, fused) payload can be in flight at once,
-  // since the p2p backends post all sends before draining any receive.
-  // Receivers reuse the sender-acquired buffers, so once every rank has
-  // planted its own send sizes, steady-state redistribute() calls never
-  // heap-allocate staging storage (the zero-allocation contract the JSON
-  // bench and CI assert).
+  // 8. Reserve this rank's peak concurrent send set in the staging pool,
+  // for the executor that will run (effective_backend()): every per-round
+  // (or per-lane) payload can be in flight at once, since the executors
+  // post all sends before draining any receive. Receivers reuse the
+  // sender-acquired buffers, so once every rank has reserved its own send
+  // sizes, steady-state redistribute() calls never heap-allocate staging
+  // storage (the zero-allocation contract the JSON bench and CI assert).
+  // The reservation replaces this Redistributor's previous one, so
+  // re-running setup() does not grow the pool.
   DDR_TRACE_SPAN(rspan, "ddr.setup.reserve_staging");
   std::vector<std::size_t> send_bytes;
-  const auto self = static_cast<std::size_t>(mapping_.rank);
-  for (const RoundPlan& rp : mapping_.rounds)
-    for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
-      if (rp.sendcounts[q] > 0 && q != self)
-        send_bytes.push_back(static_cast<std::size_t>(rp.sendcounts[q]) *
-                             rp.sendtypes[q].size());
-  // The lane program stages every packed send lane's payload (reserved in
-  // full, so any wave schedule stays allocation-free) and an 8-byte
-  // owned-buffer pointer per zero-copy intra lane (the ack is zero-byte,
-  // poolless).
-  for (const LaneProgram::Packed& l : program_.sends)
-    send_bytes.push_back(mapping_.fused_send[l.lane].type.size());
-  send_bytes.insert(send_bytes.end(), program_.intra_sends.size(),
-                    sizeof(std::uintptr_t));
-  comm_.reserve_staging(send_bytes);
+  if (runs_lane_program(resolved_backend_) && !comm_.fault_injection_active()) {
+    // The lane program stages every packed send lane's payload (reserved in
+    // full, so any wave schedule stays allocation-free) and an 8-byte
+    // owned-buffer pointer per zero-copy intra lane (the ack is zero-byte,
+    // poolless).
+    for (const LaneProgram::Packed& l : program_.sends)
+      send_bytes.push_back(mapping_.fused_send[l.lane].type.size());
+    send_bytes.insert(send_bytes.end(), program_.intra_sends.size(),
+                      sizeof(std::uintptr_t));
+  } else {
+    const auto self = static_cast<std::size_t>(mapping_.rank);
+    for (const RoundPlan& rp : mapping_.rounds)
+      for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
+        if (rp.sendcounts[q] > 0 && q != self)
+          send_bytes.push_back(static_cast<std::size_t>(rp.sendcounts[q]) *
+                               rp.sendtypes[q].size());
+  }
+  comm_.reserve_staging(staging_, send_bytes);
 
   p2p_epoch_ = 0;
   setup_done_ = true;
@@ -488,6 +493,7 @@ void Redistributor::rebuild(mpi::Comm comm, const OwnedLayout& owned,
   if (options_.plan_cache != nullptr) options_.plan_cache->invalidate();
   comm_ = std::move(comm);
   setup_done_ = false;
+  staging_.reset();
   setup(owned, needed, options);
 }
 
@@ -699,6 +705,7 @@ ResizeOutcome Redistributor::resize_rebalance(int new_size,
           tcomm.size() == target ? std::move(tcomm) : tcomm.resize(target);
       comm_ = final_comm;
       setup_done_ = false;  // the old mapping does not span the new comm
+      staging_.reset();
       // A committed resize changes the run's membership: every plan cached
       // before it is void. Holders of the old epoch fail fast on their next
       // redistribute() instead of executing a plan for the wrong world.
@@ -715,6 +722,7 @@ ResizeOutcome Redistributor::resize_rebalance(int new_size,
     ++out.rollbacks;
     cur = rollback_rendezvous(tcomm, /*is_old=*/true);
     comm_ = cur;
+    staging_.reset();
     require(attempt < options.max_attempts,
             "resize_rebalance: no attempt committed after " +
                 std::to_string(attempt) + " attempt(s) — last failure: " +
@@ -897,8 +905,10 @@ void Redistributor::execute_p2p(std::span<const std::byte> owned_data,
                         needed_data.data() + rp.rdispls[self], 1);
   }
   {
+    // One wait per request rather than mpi::wait_all, whose returned status
+    // vector would be a heap allocation per call.
     DDR_TRACE_SPAN(wspan, "ddr.wait_all");
-    mpi::wait_all(reqs_);
+    for (mpi::Request& r : reqs_) r.wait();
   }
   reqs_.clear();
 }

@@ -100,10 +100,42 @@ struct StagingStats {
   /// the exchange's true concurrent staging footprint — the quantity a
   /// peak-staging budget (ddr::SetupOptions::peak_staging_bytes) bounds and
   /// the number benches report per backend. Monotone: snapshot it before and
-  /// after an operation to attribute a peak. Prewarmed buffers
+  /// after an operation to attribute a peak. Reserved buffers
   /// (Comm::reserve_staging) are planted in the free list without ever being
   /// live, so they do not inflate it.
   std::uint64_t peak_live_bytes = 0;
+  /// Capacity held in the pool's free list right now: storage the pool owns
+  /// but has not handed out. Bounded by the live reservations (plus what was
+  /// in flight when they were made), not by the number of reservations.
+  std::uint64_t retained_bytes = 0;
+  /// Sum of every live reservation's sizes (Comm::reserve_staging), over all
+  /// ranks of the communicator: the working set the free list is kept
+  /// topped up to.
+  std::uint64_t reserved_bytes = 0;
+};
+
+/// A standing claim on a communicator's staging pool, made and renewed
+/// through Comm::reserve_staging. The pool keeps one ledger entry per live
+/// reservation; reserving again through the same handle replaces its entry,
+/// and destroying the handle (or reset()) drops it. Dropping never frees
+/// storage: the buffers stay in the pool for the next reservation to claim.
+/// Move-only; a move hands the entry to the target.
+class StagingReservation {
+ public:
+  StagingReservation() = default;
+  StagingReservation(StagingReservation&& other) noexcept;
+  StagingReservation& operator=(StagingReservation&& other) noexcept;
+  StagingReservation(const StagingReservation&) = delete;
+  StagingReservation& operator=(const StagingReservation&) = delete;
+  ~StagingReservation() { reset(); }
+
+  /// Drops the ledger entry, if any.
+  void reset() noexcept;
+
+ private:
+  friend class Comm;
+  std::shared_ptr<detail::CommImpl> impl_;  ///< the pool's communicator
+  std::uint64_t key_ = 0;                   ///< the ledger entry
 };
 
 /// Waits for every request; returns their statuses in order.
@@ -319,11 +351,21 @@ class Comm {
   /// unique but their assignment order is scheduling-dependent.)
   [[nodiscard]] std::uint64_t trace_id() const;
 
-  /// Plants buffers of the given sizes in the staging pool, all live at
-  /// once, so a later operation whose peak concurrent payload set is covered
-  /// by `sizes` (across every rank calling this) never heap-allocates on the
-  /// data path. Callable from any rank; not collective.
-  void reserve_staging(const std::vector<std::size_t>& sizes) const;
+  /// Reserves staging for a payload set whose buffers may all be live at
+  /// once, so a later operation covered by the live reservations never
+  /// heap-allocates on the data path. `reservation` names the claim: its
+  /// ledger entry becomes `sizes`, replacing what it held before (a handle
+  /// bound to another communicator's pool leaves that ledger first). The
+  /// pool then matches the sizes of every live reservation, on every rank,
+  /// against its free list, largest first, each size claiming its own
+  /// buffer, and deposits fresh storage only for the sizes nothing left
+  /// fits — so reserving the same sizes again adds nothing, and the pool
+  /// holds the union of the ranks' working sets rather than one copy per
+  /// setup. The pool's byte budget caps the deposits. Reserving never
+  /// touches StagingStats::live_bytes or peak_live_bytes. Callable from any
+  /// rank; not collective.
+  void reserve_staging(StagingReservation& reservation,
+                       const std::vector<std::size_t>& sizes) const;
 
   /// Cooperative cancellation point for long non-blocking progress loops:
   /// services the FaultModel kill/stall hooks for this rank and throws any

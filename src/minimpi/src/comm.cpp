@@ -4,7 +4,9 @@
 #include <chrono>
 #include <thread>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "impl.hpp"
 
@@ -116,6 +118,50 @@ CommImpl::CommImpl(std::shared_ptr<World> w, std::vector<int> group_world_ranks)
 
 Comm make_comm(std::shared_ptr<CommImpl> impl, int rank) {
   return Comm(std::move(impl), rank);
+}
+
+std::size_t BufferPool::reserve(std::uint64_t key,
+                                const std::vector<std::size_t>& sizes) {
+  std::lock_guard lk(m);
+  std::vector<std::size_t>& entry = ledger[key];
+  for (const std::size_t n : entry) reserved_bytes -= n;
+  entry.clear();
+  for (const std::size_t n : sizes) {
+    if (n == 0) continue;  // a zero-size acquire never touches the pool
+    entry.push_back(n);
+    reserved_bytes += n;
+  }
+  // The free list must hold one buffer per ledger size, all at once. Match
+  // the sizes largest first against the capacities largest first: every
+  // buffer that fits a size also fits every later (smaller) one, so which
+  // fitting buffer a size claims never matters, and a size that the largest
+  // unclaimed buffer cannot hold is one no buffer can. A full match is what
+  // acquire()'s best-fit needs to succeed in any order, and matching the
+  // largest sizes first leaves the fewest bytes for the top-up to deposit.
+  std::vector<std::size_t> want;
+  for (const auto& [k, v] : ledger) want.insert(want.end(), v.begin(), v.end());
+  std::sort(want.begin(), want.end(), std::greater<>());
+  std::vector<std::size_t> caps;
+  caps.reserve(free.size());
+  for (const std::vector<std::byte>& b : free) caps.push_back(b.capacity());
+  std::sort(caps.begin(), caps.end(), std::greater<>());
+  std::size_t claimed = 0;
+  std::size_t deposited = 0;
+  for (const std::size_t n : want) {
+    if (claimed < caps.size() && caps[claimed] >= n) {
+      ++claimed;
+      continue;
+    }
+    if (retained_bytes + n > kMaxPooledBytes) continue;  // the hard ceiling
+    // Capacity only: the pages are first touched by the acquire that uses
+    // the buffer, so an over-covering reservation costs no resident memory.
+    std::vector<std::byte> buf;
+    buf.reserve(n);
+    retained_bytes += buf.capacity();
+    deposited += buf.capacity();
+    free.push_back(std::move(buf));
+  }
+  return deposited;
 }
 
 }  // namespace detail
@@ -1452,14 +1498,17 @@ bool Comm::fault_injection_active() const {
 StagingStats Comm::staging_stats() const {
   require(valid(), ErrorClass::invalid_comm,
           "staging_stats: invalid communicator");
-  const auto live = impl_->staging.live_bytes.load(std::memory_order_relaxed);
-  const auto peak =
-      impl_->staging.peak_live_bytes.load(std::memory_order_relaxed);
-  return StagingStats{
-      impl_->staging.acquires.load(std::memory_order_relaxed),
-      impl_->staging.heap_allocs.load(std::memory_order_relaxed),
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, live)),
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, peak))};
+  detail::BufferPool& pool = impl_->staging;
+  const auto live = pool.live_bytes.load(std::memory_order_relaxed);
+  const auto peak = pool.peak_live_bytes.load(std::memory_order_relaxed);
+  StagingStats s{pool.acquires.load(std::memory_order_relaxed),
+                 pool.heap_allocs.load(std::memory_order_relaxed),
+                 static_cast<std::uint64_t>(std::max<std::int64_t>(0, live)),
+                 static_cast<std::uint64_t>(std::max<std::int64_t>(0, peak))};
+  std::lock_guard lk(pool.m);
+  s.retained_bytes = pool.retained_bytes;
+  s.reserved_bytes = pool.reserved_bytes;
+  return s;
 }
 
 std::uint64_t Comm::messages_posted() const {
@@ -1473,24 +1522,48 @@ std::uint64_t Comm::trace_id() const {
   return impl_->trace_id;
 }
 
-void Comm::reserve_staging(const std::vector<std::size_t>& sizes) const {
+void Comm::reserve_staging(StagingReservation& reservation,
+                           const std::vector<std::size_t>& sizes) const {
   require(valid(), ErrorClass::invalid_comm,
           "reserve_staging: invalid communicator");
-  // Purely additive: plant fresh storage rather than recycling through
-  // acquire(), so concurrent reservations from several ranks end up as the
-  // UNION of their working sets. (An acquire-then-release loop would let a
-  // later rank pop an earlier rank's just-released buffers, leaving the pool
-  // one working set short of the true all-ranks-in-flight peak.) The pool's
-  // byte budget bounds the overshoot of repeated reservations.
   std::int64_t total = 0;
   for (const std::size_t n : sizes) total += static_cast<std::int64_t>(n);
   DDR_TRACE_SPAN(tspan, "mpi.staging.reserve",
                  trace::Keys{.comm = static_cast<std::int64_t>(impl_->trace_id),
                              .bytes = total});
-  // deposit(), not release(): these buffers were never acquired, so they
-  // must not perturb the pool's live/peak-byte accounting (StagingStats).
-  for (const std::size_t n : sizes)
-    if (n > 0) impl_->staging.deposit(std::vector<std::byte>(n));
+  if (reservation.impl_ != impl_) {
+    reservation.reset();
+    reservation.key_ = impl_->staging.next_key.fetch_add(1);
+    reservation.impl_ = impl_;
+  }
+  // Replace, then top up against the whole ledger: a rank that re-plans
+  // reuses what its last plan left in the free list instead of adding a
+  // second copy, and concurrent reservations from several ranks still end
+  // up covering the union of their working sets, because each one matches
+  // every live entry, not only its own. The deposited bytes go on the span
+  // (`value`), so a trace shows whether this reservation grew the pool.
+  const std::size_t deposited = impl_->staging.reserve(reservation.key_, sizes);
+  tspan.set_value(static_cast<std::int64_t>(deposited));
+}
+
+StagingReservation::StagingReservation(StagingReservation&& other) noexcept
+    : impl_(std::move(other.impl_)), key_(std::exchange(other.key_, 0)) {}
+
+StagingReservation& StagingReservation::operator=(
+    StagingReservation&& other) noexcept {
+  if (this != &other) {
+    reset();
+    impl_ = std::move(other.impl_);
+    key_ = std::exchange(other.key_, 0);
+  }
+  return *this;
+}
+
+void StagingReservation::reset() noexcept {
+  if (impl_ == nullptr) return;
+  impl_->staging.drop(key_);
+  impl_.reset();
+  key_ = 0;
 }
 
 const NetworkModel* Comm::network_model() const {

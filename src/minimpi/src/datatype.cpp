@@ -375,7 +375,19 @@ static void copy_train(std::byte* dst, std::ptrdiff_t dstride,
 using detail::Kind;
 using detail::TypeNode;
 
-Datatype::Datatype() : node_(detail::make_bytes(0)) {}
+namespace {
+/// The node every default-constructed Datatype shares, so a default
+/// Datatype (every irecv and isend Request holds one) never allocates. The
+/// handle is non-owning (aliasing an empty owner): copying or destroying it
+/// touches no reference count, so rank threads constructing requests
+/// concurrently do not contend on one shared counter.
+std::shared_ptr<const TypeNode> empty_node() {
+  static const std::shared_ptr<const TypeNode> node = detail::make_bytes(0);
+  return {std::shared_ptr<const TypeNode>(), node.get()};
+}
+}  // namespace
+
+Datatype::Datatype() : node_(empty_node()) {}
 Datatype::Datatype(std::shared_ptr<const TypeNode> node)
     : node_(std::move(node)) {}
 

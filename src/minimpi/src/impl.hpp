@@ -91,7 +91,7 @@ struct BufferPool {
     if (buf.capacity() == 0) return;
     // Live-byte accounting mirrors acquire(): a buffer handed out is "live"
     // until its storage comes back here. Clamped at zero so a buffer whose
-    // size changed in user hands (or was planted by deposit()) can never
+    // size changed in user hands (or was planted by reserve()) can never
     // drive the counter negative.
     const auto sz = static_cast<std::int64_t>(buf.size());
     std::int64_t live = live_bytes.load(std::memory_order_relaxed);
@@ -108,23 +108,30 @@ struct BufferPool {
     free.push_back(std::move(buf));
   }
 
-  /// Plants never-acquired storage in the pool (Comm::reserve_staging
-  /// prewarm). Unlike release(), a deposit never touches the live-byte
-  /// accounting: the buffer was never handed out, so it contributes to the
-  /// free list only.
-  void deposit(std::vector<std::byte>&& buf) {
-    if (buf.capacity() == 0) return;
-    buf.clear();
+  /// Sets ledger entry `key` to `sizes` and tops the free list up to cover
+  /// the whole ledger (Comm::reserve_staging); returns the bytes deposited.
+  /// Deposited storage was never handed out, so it joins the free list
+  /// without touching the live-byte accounting.
+  std::size_t reserve(std::uint64_t key, const std::vector<std::size_t>& sizes);
+
+  /// Drops ledger entry `key` (its buffers stay in the free list).
+  void drop(std::uint64_t key) {
     std::lock_guard lk(m);
-    if (retained_bytes + buf.capacity() > kMaxPooledBytes) return;
-    retained_bytes += buf.capacity();
-    free.push_back(std::move(buf));
+    const auto it = ledger.find(key);
+    if (it == ledger.end()) return;
+    for (const std::size_t n : it->second) reserved_bytes -= n;
+    ledger.erase(it);
   }
 
   static constexpr std::size_t kMaxPooledBytes = std::size_t{64} << 20;
   std::mutex m;
   std::vector<std::vector<std::byte>> free;
   std::size_t retained_bytes = 0;  // guarded by m
+  /// Live reservations by key (StagingReservation) and their byte total;
+  /// guarded by m.
+  std::map<std::uint64_t, std::vector<std::size_t>> ledger;
+  std::size_t reserved_bytes = 0;
+  std::atomic<std::uint64_t> next_key{1};
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> heap_allocs{0};
   /// Bytes currently handed out (acquired, not yet released) and the

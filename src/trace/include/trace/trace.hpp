@@ -89,6 +89,12 @@ class Recorder {
   /// Number of begun-but-not-ended spans (0 once every span closed).
   [[nodiscard]] std::size_t open_spans() const noexcept { return depth_; }
 
+  /// Sets the `value` key of the still-open span begun at event index
+  /// `begin_index` (see Span::set_value); ignored once clear() dropped it.
+  void set_value(std::size_t begin_index, std::int64_t value) noexcept {
+    if (begin_index < events_.size()) events_[begin_index].keys.value = value;
+  }
+
   void reserve(std::size_t nevents) { events_.reserve(nevents); }
   /// Drops recorded events (keeps capacity); open-span depth resets too, so
   /// only clear() between complete operations.
@@ -130,7 +136,10 @@ class Span {
  public:
   explicit Span(const char* name, const Keys& keys = {}) noexcept
       : rec_(current()), name_(name) {
-    if (rec_ != nullptr) rec_->begin(name_, keys);
+    if (rec_ != nullptr) {
+      begin_ = rec_->events().size();
+      rec_->begin(name_, keys);
+    }
   }
   ~Span() {
     if (rec_ != nullptr) rec_->end(name_);
@@ -138,15 +147,23 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Sets the span's `value` key once the span has learned it (e.g. how
+  /// many bytes the work inside it allocated).
+  void set_value(std::int64_t value) noexcept {
+    if (rec_ != nullptr) rec_->set_value(begin_, value);
+  }
+
  private:
   Recorder* rec_;
   const char* name_;
+  std::size_t begin_ = 0;  ///< index of the begin event in rec_
 };
 
 /// No-op stand-in used when DDR_TRACE_DISABLED compiles tracing out.
 struct NoopSpan {
   template <typename... Args>
   explicit NoopSpan(const Args&...) noexcept {}
+  void set_value(std::int64_t) noexcept {}
 };
 
 inline void instant(const char* name, const Keys& keys = {}) {

@@ -49,6 +49,9 @@ TEST(Datatype, DefaultIsZeroSized) {
   const Datatype t;
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.extent(), 0u);
+  // The shared empty node describes the same type as an explicit zero-byte
+  // one.
+  EXPECT_EQ(t.contiguous(), Datatype::bytes(0).contiguous());
 }
 
 TEST(Datatype, ContiguousOfFloat) {

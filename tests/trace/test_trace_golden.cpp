@@ -338,3 +338,26 @@ TEST(TraceGolden, PipelinedStrided3dConservesBytes) {
           << "bytes " << r << " -> " << q;
     }
 }
+
+TEST(TraceGolden, StagingReserveSpanReportsDepositedBytes) {
+  // `bytes` is what a reservation asks for, `value` the fresh storage it
+  // added: the first reservation deposits, an identical second one finds
+  // its sizes already in the pool and deposits nothing.
+  trace::Recorder rec(0);
+  mpi::run(1, [&](mpi::Comm& comm) {
+    const trace::ScopedRecorder scope(&rec);
+    mpi::StagingReservation r;
+    comm.reserve_staging(r, {4096, 100});
+    comm.reserve_staging(r, {4096, 100});
+  });
+  std::vector<trace::Keys> spans;
+  for (const trace::Event& e : rec.events())
+    if (e.phase == trace::Phase::begin &&
+        std::string(e.name) == "mpi.staging.reserve")
+      spans.push_back(e.keys);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].bytes, 4196);
+  EXPECT_GE(spans[0].value, 4196);
+  EXPECT_EQ(spans[1].bytes, 4196);
+  EXPECT_EQ(spans[1].value, 0);
+}

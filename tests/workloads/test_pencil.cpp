@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -247,6 +248,39 @@ TEST(PencilPlanCache, InvalidateFailsFastAndReplanRecovers) {
     EXPECT_EQ(slab, initial);
   });
   EXPECT_EQ(threw.load(), p.nranks);
+}
+
+TEST(PencilStaging, AllocationFreeFromTheFirstStepAndReplanDoesNotGrowThePool) {
+  // The benchmark's shape: many timesteppers built one after another on
+  // one communicator (each dropped before the next is built), then steps on
+  // the last one. The four transposes' reservations do not pile up in the
+  // pool, and they cover the first timed step already.
+  const PencilParams p;
+  mpi::run(p.nranks, [&](mpi::Comm& comm) {
+    const auto fenced = [&comm] {
+      comm.barrier();
+      const mpi::StagingStats s = comm.staging_stats();
+      comm.barrier();
+      return s;
+    };
+    auto ts = std::make_unique<PencilTimestepper>(comm, p);
+    const mpi::StagingStats first = fenced();
+    for (int i = 0; i < 20; ++i) {
+      ts.reset();
+      ts = std::make_unique<PencilTimestepper>(comm, p);
+    }
+    const mpi::StagingStats s0 = fenced();
+    EXPECT_EQ(s0.reserved_bytes, first.reserved_bytes);
+    EXPECT_LE(s0.retained_bytes, 2 * s0.reserved_bytes);
+
+    const ddr::Chunk mine = ts->generator().chunk(Stage::slab, comm.rank());
+    std::vector<std::byte> slab = oracle_slab(mine);
+    const std::vector<std::byte> initial = slab;
+    ts->run(3, slab);
+    const mpi::StagingStats s1 = fenced();
+    EXPECT_EQ(slab, initial);
+    EXPECT_EQ(s1.heap_allocations, s0.heap_allocations);
+  });
 }
 
 }  // namespace
